@@ -26,7 +26,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 from . import device, evaluate, networks, symbolic, training
 
@@ -165,6 +165,14 @@ def build_train_config(args) -> tuple:
         raise ConfigError(f"unknown family {cfg.family!r}")
     if cfg.step_mv not in device.TRAIN_STEPS_MV:
         raise ConfigError(f"unsupported grid step {cfg.step_mv} mV")
+    if args.sweep < 0:
+        raise ConfigError(f"--sweep must be 0 or more, got {args.sweep}")
+    epochs = cfg.resolved_epochs()
+    if epochs < 1:
+        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    if cfg.family == "kan" and epochs < len(cfg.ladder):
+        raise ConfigError(f"a kan budget of {epochs} epochs cannot cover "
+                          f"{len(cfg.ladder)} ladder stages")
     return cfg, (out_dir or ".")
 
 
@@ -187,33 +195,20 @@ def cmd_gen_data(args) -> int:
     return EXIT_OK
 
 
-def _sweep_row(cfg, ck, log, dataset) -> dict:
-    if log.diverged:
-        return {"seed": cfg.seed, "diverged": True, "train_mape": None,
-                "test_mape": None, "final_loss": None}
-    errs = evaluate.split_errors(ck, dataset, cfg.target)
-    return {"seed": cfg.seed, "diverged": False,
-            "train_mape": errs["train"], "test_mape": errs["test"],
-            "final_loss": ck.meta["final_loss"]}
-
-
 def cmd_train(args) -> int:
     cfg, out_dir = build_train_config(args)
     os.makedirs(out_dir, exist_ok=True)
     inputs = [args.config] if args.config else []
     outputs = []
     if args.sweep:
-        dataset = device.generate_dataset(cfg.step_mv)
-        rows = []
-        for offset in range(args.sweep):
-            run_cfg = replace(cfg, seed=cfg.seed + offset)
-            ck, log = training.train(run_cfg)
-            ck_name = f"checkpoint_seed{run_cfg.seed}.txt"
-            log_name = f"trainlog_seed{run_cfg.seed}.csv"
-            networks.save_checkpoint(ck, os.path.join(out_dir, ck_name))
-            training.save_trainlog(log, os.path.join(out_dir, log_name))
+        rows = training.seed_sweep(cfg, args.sweep).rows
+        for r in rows:
+            ck_name = f"checkpoint_seed{r['seed']}.txt"
+            log_name = f"trainlog_seed{r['seed']}.csv"
+            networks.save_checkpoint(r["checkpoint"],
+                                     os.path.join(out_dir, ck_name))
+            training.save_trainlog(r["log"], os.path.join(out_dir, log_name))
             outputs += [ck_name, log_name]
-            rows.append(_sweep_row(run_cfg, ck, log, dataset))
         table = [",".join([str(r["seed"]), str(int(r["diverged"])),
                            _fmt(r["train_mape"]), _fmt(r["test_mape"]),
                            _fmt(r["final_loss"])]) for r in rows]

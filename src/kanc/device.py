@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -160,25 +159,6 @@ class VoltageGridDataset:
         vd, vg = np.meshgrid(self.vd_axis, self.vg_axis, indexing="ij")
         keep = ~self.train_mask
         return np.column_stack([vd[keep], vg[keep]])
-
-    @cached_property
-    def train_points(self) -> list:
-        return self._points(True)
-
-    @cached_property
-    def test_points(self) -> list:
-        return self._points(False)
-
-    def _points(self, train: bool) -> list:
-        mask = self.train_mask if train else ~self.train_mask
-        vd, vg = np.meshgrid(self.vd_axis, self.vg_axis, indexing="ij")
-        f = self.fields
-        return [
-            DevicePoint(float(vd[i, j]), float(vg[i, j]),
-                        float(f["I_D"][i, j]), float(f["Q_D"][i, j]),
-                        float(f["Q_S"][i, j]), float(f["Q_G"][i, j]))
-            for i, j in zip(*np.nonzero(mask))
-        ]
 
 
 def generate_dataset(step_mv: int) -> VoltageGridDataset:

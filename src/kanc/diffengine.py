@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 A :class:`Tape` is a flat list of nodes in topological order.  Building the
-tape fixes the computation's structure; :func:`forward` fills it with values
-for a given set of named leaves, and :func:`backward` accumulates adjoints
-from a scalar node back to every leaf.  The same tape can be re-run with new
-leaf values, which is how the training loops avoid rebuilding graphs per
-epoch.
+tape fixes the computation's structure; :meth:`Tape.forward` fills it with
+values for a given set of named leaves, and :meth:`Tape.backward`
+accumulates adjoints from a scalar node back to every leaf.  The same tape
+can be re-run with new leaf values, which is how the training loops avoid
+rebuilding graphs per epoch.  Nodes that depend on no leaf (the constant input grid and what is
+computed from it alone) are evaluated on the first forward pass and reused
+after that, and the backward pass sends no adjoint into them.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ class Tape:
         self.nodes: list[Node] = []
         self.leaf_names: dict[str, int] = {}
         self.values: list = []
+        self._fixed: list[bool] = []   # node depends on no leaf
+        self._folded: dict = {}        # values of fixed nodes, kept across passes
         self._basis_cache: dict = {}
         self._trig_cache: dict = {}
 
@@ -60,6 +64,8 @@ class Tape:
             if not 0 <= a < len(self.nodes):
                 raise ValueError(f"node argument {a} not yet on the tape")
         self.nodes.append(node)
+        self._fixed.append(node.op == "const" or (
+            node.op != "leaf" and all(self._fixed[a] for a in node.args)))
         return len(self.nodes) - 1
 
     def leaf(self, name: str, shape=()) -> int:
@@ -141,11 +147,18 @@ class Tape:
         if missing:
             raise ValueError(f"missing leaf values for {sorted(missing)}")
         self.values = [None] * len(self.nodes)
-        self._basis_cache = {}
-        self._trig_cache = {}
+        fixed, folded = self._fixed, self._folded
+        # trig and basis values of a fixed argument stay valid too
+        self._basis_cache = {k: p for k, p in self._basis_cache.items()
+                             if fixed[k[0]]}
+        self._trig_cache = {k: t for k, t in self._trig_cache.items()
+                            if fixed[k[0]]}
         v = self.values
         with np.errstate(all="ignore"):
             for idx, node in enumerate(self.nodes):
+                if idx in folded:
+                    v[idx] = folded[idx]
+                    continue
                 op = node.op
                 a = node.args
                 if op == "leaf":
@@ -202,6 +215,8 @@ class Tape:
                         f"non-finite value at node {idx} (op {op!r})"
                     )
                 v[idx] = val
+                if fixed[idx]:
+                    folded[idx] = val
         return v[-1]
 
     def values_size(self, idx) -> float:
@@ -218,10 +233,15 @@ class Tape:
         adj = [None] * len(self.nodes)
         adj[output_index] = np.ones_like(np.asarray(out_val, dtype=float))
         v = self.values
+        live = [not f for f in self._fixed]
 
         def accumulate(i, g):
             # Stored adjoints may alias each other or forward values, so
-            # accumulation must rebind (never mutate in place).
+            # accumulation must rebind (never mutate in place).  A fixed
+            # node reaches no leaf, so its adjoint is never formed; binary
+            # ops check ``live`` before computing a contribution.
+            if not live[i]:
+                return
             g = np.asarray(g, dtype=float)
             if adj[i] is None:
                 adj[i] = _unbroadcast(g, np.asarray(v[i]).shape)
@@ -244,11 +264,15 @@ class Tape:
                     accumulate(a[0], g)
                     accumulate(a[1], -g)
                 elif op == "mul":
-                    accumulate(a[0], g * v[a[1]])
-                    accumulate(a[1], g * v[a[0]])
+                    if live[a[0]]:
+                        accumulate(a[0], g * v[a[1]])
+                    if live[a[1]]:
+                        accumulate(a[1], g * v[a[0]])
                 elif op == "matmul":
-                    accumulate(a[0], g @ v[a[1]].T)
-                    accumulate(a[1], v[a[0]].T @ g)
+                    if live[a[0]]:
+                        accumulate(a[0], g @ v[a[1]].T)
+                    if live[a[1]]:
+                        accumulate(a[1], v[a[0]].T @ g)
                 elif op == "pow":
                     p = node.aux
                     accumulate(a[0], g * p * v[a[0]] ** (p - 1.0))
@@ -270,8 +294,10 @@ class Tape:
                     accumulate(a[0], g * np.sign(v[a[0]]))
                 elif op == "spline":
                     basis, dbasis = self._basis_pair(node, v[a[0]])
-                    accumulate(a[1], basis.T @ g)
-                    accumulate(a[0], g * (dbasis @ v[a[1]]))
+                    if live[a[1]]:
+                        accumulate(a[1], basis.T @ g)
+                    if live[a[0]]:
+                        accumulate(a[0], g * (dbasis @ v[a[1]]))
                 elif op == "sum":
                     axis = node.aux
                     if axis is None:
@@ -318,16 +344,6 @@ class Tape:
             )
             self._basis_cache[key] = pair
         return pair
-
-
-def forward(tape: Tape, leaf_values: dict) -> np.ndarray:
-    """Evaluate the tape and return the value of its final node."""
-    return tape.forward(leaf_values)
-
-
-def backward(tape: Tape, output_index: int | None = None) -> dict:
-    """Adjoints of the (scalar) output with respect to every leaf."""
-    return tape.backward(output_index)
 
 
 def grad_check(tape: Tape, leaf_values: dict, step: float = 1e-6) -> float:

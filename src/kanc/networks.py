@@ -14,7 +14,8 @@ of the trainable set.
 
 from __future__ import annotations
 
-import copy
+import ast
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +42,6 @@ class NetworkSpec:
     kind: str
     widths: tuple
     conversion: str
-    activation: str = "tanh"
     spline_order: int = 3
     grid: int = 16
     fkan_grids: tuple = ()
@@ -112,6 +112,16 @@ class FixedEdge:
     b: float
     c: float
     d: float
+
+    def __call__(self, x):
+        """Edge output; inputs outside the primitive's domain give inf or
+        nan without warnings."""
+        from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
+
+        f = LIBRARY_BY_NAME[self.name]
+        with np.errstate(all="ignore"):
+            return self.c * f(self.a * np.asarray(x, dtype=float)
+                              + self.b) + self.d
 
 
 @dataclass
@@ -268,14 +278,6 @@ def mlp_forward(spec: NetworkSpec, params: MlpParams, x):
     return float(out[0]) if single else out
 
 
-def _fixed_edge_value(fx: FixedEdge, x: np.ndarray) -> np.ndarray:
-    from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
-
-    f = LIBRARY_BY_NAME[fx.name].fn
-    with np.errstate(all="ignore"):
-        return fx.c * f(fx.a * x + fx.b) + fx.d
-
-
 def kan_layer_outputs(layer: KanLayer, h: np.ndarray) -> np.ndarray:
     """Per-edge outputs for one layer; shape (N, n_in, n_out)."""
     n, n_in, n_out = h.shape[0], layer.n_in, layer.n_out
@@ -286,7 +288,7 @@ def kan_layer_outputs(layer: KanLayer, h: np.ndarray) -> np.ndarray:
         base_part = splines.silu(h[:, i])[:, None] * layer.w_b[i][None, :]
         edges[:, i, :] = base_part + layer.w_s[i][None, :] * spline_part
     for (i, j), fx in layer.fixed.items():
-        edges[:, i, j] = _fixed_edge_value(fx, h[:, i])
+        edges[:, i, j] = fx(h[:, i])
     return edges
 
 
@@ -529,15 +531,8 @@ def refine_kan(params: KanParams, new_grid_size: int,
     up to round-off."""
     new_layers = []
     for layer in params.layers:
-        old = layer.knots
-        kv = splines.refined_knots(old, new_grid_size)
-        n_samples = max(10, samples_per_basis) * kv.n_basis
-        xs = np.linspace(old.domain_lo, old.domain_hi, n_samples)
-        design = splines.basis_matrix(kv, xs)
-        targets = splines.basis_matrix(old, xs) @ layer.coeffs.reshape(
-            layer.n_in * layer.n_out, old.n_basis).T
-        coeffs = splines._solve_full_rank(design, targets)
-        coeffs = coeffs.T.reshape(layer.n_in, layer.n_out, kv.n_basis)
+        kv, coeffs = splines._transfer(layer.knots, new_grid_size,
+                                       layer.coeffs, samples_per_basis)
         new_layers.append(KanLayer(
             knots=kv, coeffs=coeffs, w_b=layer.w_b.copy(),
             w_s=layer.w_s.copy(), bias=layer.bias.copy(),
@@ -590,7 +585,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     if spec.widths:
         lines.append("widths " + " ".join(str(w) for w in spec.widths))
     if spec.kind == "mlp":
-        lines.append(f"activation {spec.activation}")
+        lines.append("activation tanh")   # the only hidden activation
     if spec.kind == "kan":
         lines.append(f"spline_order {spec.spline_order}")
         lines.append(f"grid {spec.grid}")
@@ -629,13 +624,29 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+
+
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by :func:`save_checkpoint`; any missing or
+    malformed entry raises :class:`CheckpointError`."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {lines[0] if lines else '<empty>'!r}"
         )
+    try:
+        return _parse_checkpoint(lines)
+    except CheckpointError:
+        raise
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint has no {exc.args[0]!r} entry") from None
+    except (IndexError, ValueError, SyntaxError) as exc:
+        raise CheckpointError(f"malformed checkpoint: {exc}") from None
+
+
+def _parse_checkpoint(lines: list) -> Checkpoint:
     header: dict = {"meta": {}}
     arrays: dict = {}
     fixed_rows = []
@@ -646,9 +657,10 @@ def load_checkpoint(path) -> Checkpoint:
             break
         tok = ln.split()
         if tok[0] == "meta":
-            import ast
-
-            header["meta"][tok[1]] = ast.literal_eval(ln.split(None, 2)[2])
+            raw = ln.split(None, 2)[2]
+            # the writer's repr of a non-finite float is not a literal
+            header["meta"][tok[1]] = (_NON_FINITE[raw] if raw in _NON_FINITE
+                                      else ast.literal_eval(raw))
         elif tok[0] == "array":
             dims = tuple(int(d) for d in tok[2:])
             i += 1
@@ -665,11 +677,18 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError("missing 'end' line")
 
     kind = header["kind"][0]
+    if kind not in KINDS:
+        raise CheckpointError(f"unknown kind {kind!r}")
     conversion = header["conversion"][0]
-    widths = tuple(int(w) for w in header.get("widths", []))
+    if kind == "oracle":
+        return Checkpoint(NetworkSpec("oracle", (), conversion), None,
+                          header["meta"])
+    widths = tuple(int(w) for w in header["widths"])
     if kind == "mlp":
-        spec = NetworkSpec("mlp", widths, conversion,
-                           activation=header.get("activation", ["tanh"])[0])
+        activation = header.get("activation", ["tanh"])[0]
+        if activation != "tanh":
+            raise CheckpointError(f"unsupported activation {activation!r}")
+        spec = NetworkSpec("mlp", widths, conversion)
         n_layers = len(widths) - 1
         params = MlpParams(
             [arrays[f"L{l}.W"] for l in range(n_layers)],
@@ -691,10 +710,16 @@ def load_checkpoint(path) -> Checkpoint:
                 knots=kv, coeffs=coeffs, w_b=arrays[f"L{l}.w_b"],
                 w_s=arrays[f"L{l}.w_s"], bias=arrays[f"L{l}.bias"],
             ))
+        from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
+
         for l, i_, j_, name, a, b, c, d in fixed_rows:
+            if (name not in LIBRARY_BY_NAME or not 0 <= l < len(layers)
+                    or not 0 <= i_ < layers[l].n_in
+                    or not 0 <= j_ < layers[l].n_out):
+                raise CheckpointError(f"bad pinned edge {l} {i_} {j_} {name}")
             layers[l].fixed[(i_, j_)] = FixedEdge(name, a, b, c, d)
         params = KanParams(layers)
-    elif kind == "fkan":
+    else:
         grids = tuple(int(g) for g in header["grids"])
         spec = NetworkSpec("fkan", widths, conversion, fkan_grids=grids)
         layers = []
@@ -704,13 +729,5 @@ def load_checkpoint(path) -> Checkpoint:
                 sin_coef=arrays[f"L{l}.sin"], bias=arrays[f"L{l}.bias"],
             ))
         params = FkanParams(layers)
-    elif kind == "oracle":
-        spec = NetworkSpec("oracle", (), conversion)
-        params = None
-    else:
-        raise CheckpointError(f"unknown kind {kind!r}")
     return Checkpoint(spec, params, header["meta"])
 
-
-def clone_params(spec: NetworkSpec, params):
-    return copy.deepcopy(params)

@@ -190,11 +190,6 @@ class SplineActivation:
             )
 
 
-def spline_combination(kv: KnotVector, coeffs: np.ndarray, x) -> np.ndarray:
-    """The pure spline part ``sum_i c_i B_i(x)`` without the silu term."""
-    return basis_matrix(kv, x) @ np.asarray(coeffs, dtype=float)
-
-
 def spline_eval(act: SplineActivation, x):
     """Edge output at ``x`` (scalar in, scalar out; array in, array out)."""
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
@@ -261,20 +256,29 @@ def refined_knots(kv: KnotVector, new_grid_size: int) -> KnotVector:
                       interior=interior)
 
 
-def refine(act: SplineActivation, new_grid_size: int, samples_per_basis: int = 20
-           ) -> SplineActivation:
-    """Re-express the spline part on a denser grid by least squares.
+def _transfer(old: KnotVector, new_grid_size: int, coeffs: np.ndarray,
+              samples_per_basis: int):
+    """Refined knots and the coefficients that re-express every spline in
+    ``coeffs`` (shape ``(..., old.n_basis)``) on them.
 
     The refined knot vector keeps every old knot (see ``refined_knots``), so
-    the fit against a dense uniform sample of the domain reproduces the old
-    spline part exactly up to round-off; silu weights are carried over
-    unchanged.  Coarse-to-fine only.
+    one least-squares fit against a dense uniform sample of the domain, with
+    one right-hand side per spline, reproduces each old spline exactly up
+    to round-off.
     """
-    old = act.knots
-    new_kv = refined_knots(old, new_grid_size)
-    n_samples = max(10, samples_per_basis) * new_kv.n_basis
+    kv = refined_knots(old, new_grid_size)
+    n_samples = max(10, samples_per_basis) * kv.n_basis
     xs = np.linspace(old.domain_lo, old.domain_hi, n_samples)
-    target = spline_combination(old, act.coeffs, xs)
-    design = basis_matrix(new_kv, xs)
-    coeffs = _solve_full_rank(design, target)
-    return SplineActivation(new_kv, coeffs, act.w_b, act.w_s)
+    design = basis_matrix(kv, xs)
+    targets = basis_matrix(old, xs) @ coeffs.reshape(-1, old.n_basis).T
+    new = _solve_full_rank(design, targets)
+    return kv, new.T.reshape(coeffs.shape[:-1] + (kv.n_basis,))
+
+
+def refine(act: SplineActivation, new_grid_size: int, samples_per_basis: int = 20
+           ) -> SplineActivation:
+    """Re-express the spline part on a denser grid by least squares; silu
+    weights are carried over unchanged.  Coarse-to-fine only."""
+    kv, coeffs = _transfer(act.knots, new_grid_size, act.coeffs,
+                           samples_per_basis)
+    return SplineActivation(kv, coeffs, act.w_b, act.w_s)

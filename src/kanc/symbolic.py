@@ -11,7 +11,7 @@ rendered, evaluated, differentiated, and exported.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,45 +39,56 @@ class BasicFunction:
             return self.fn(np.asarray(x, dtype=float))
 
 
-def _tan(x):
-    return np.tan(x)
+# One row per primitive: numpy function, tape builder ``(tape, node) ->
+# node``, Expr builder ``u -> Expr``, and derivative rule ``u -> f'(u)``.
+# Algebraic primitives build a Pow (or the argument itself), which
+# differentiates on its own, so they carry no rule.  ``sign`` only appears
+# as the derivative of ``abs`` and is never fitted, so it has no tape
+# builder.  Row order is LIBRARY order, which breaks ties in ``suggest``.
+_PRIMITIVES = {
+    "x": (lambda x: x, lambda t, a: a, lambda u: u, None),
+    "x^2": (lambda x: x**2, lambda t, a: t.pow(a, 2.0),
+            lambda u: Pow(u, 2.0), None),
+    "x^3": (lambda x: x**3, lambda t, a: t.pow(a, 3.0),
+            lambda u: Pow(u, 3.0), None),
+    "1/x": (lambda x: 1.0 / x, lambda t, a: t.pow(a, -1.0),
+            lambda u: Pow(u, -1.0), None),
+    "1/x^2": (lambda x: x**-2.0, lambda t, a: t.pow(a, -2.0),
+              lambda u: Pow(u, -2.0), None),
+    "exp": (np.exp, lambda t, a: t.exp(a), lambda u: Call("exp", u),
+            lambda u: Call("exp", u)),
+    "log": (np.log, lambda t, a: t.log(a), lambda u: Call("log", u),
+            lambda u: Pow(u, -1.0)),
+    "sin": (np.sin, lambda t, a: t.sin(a), lambda u: Call("sin", u),
+            lambda u: Call("cos", u)),
+    "cos": (np.cos, lambda t, a: t.cos(a), lambda u: Call("cos", u),
+            lambda u: Mul((Num(-1.0), Call("sin", u)))),
+    "tan": (np.tan, lambda t, a: t.mul(t.sin(a), t.pow(t.cos(a), -1.0)),
+            lambda u: Call("tan", u),
+            lambda u: Add((Num(1.0), Pow(Call("tan", u), 2.0)))),
+    "tanh": (np.tanh, lambda t, a: t.tanh(a), lambda u: Call("tanh", u),
+             lambda u: Add((Num(1.0),
+                            Mul((Num(-1.0), Pow(Call("tanh", u), 2.0)))))),
+    "atan": (np.arctan, lambda t, a: t.atan(a), lambda u: Call("atan", u),
+             lambda u: Pow(Add((Num(1.0), Pow(u, 2.0))), -1.0)),
+    "abs": (np.abs, lambda t, a: t.absval(a), lambda u: Call("abs", u),
+            lambda u: Call("sign", u)),
+    "sqrt": (np.sqrt, lambda t, a: t.pow(a, 0.5), lambda u: Pow(u, 0.5), None),
+    "sign": (np.sign, None, lambda u: Call("sign", u), lambda u: Num(0.0)),
+}
 
-
-LIBRARY = (
-    BasicFunction("x", lambda x: x, lambda t, a: a),
-    BasicFunction("x^2", lambda x: x**2, lambda t, a: t.pow(a, 2.0)),
-    BasicFunction("x^3", lambda x: x**3, lambda t, a: t.pow(a, 3.0)),
-    BasicFunction("1/x", lambda x: 1.0 / x, lambda t, a: t.pow(a, -1.0)),
-    BasicFunction("1/x^2", lambda x: x**-2.0, lambda t, a: t.pow(a, -2.0)),
-    BasicFunction("exp", np.exp, lambda t, a: t.exp(a)),
-    BasicFunction("log", np.log, lambda t, a: t.log(a)),
-    BasicFunction("sin", np.sin, lambda t, a: t.sin(a)),
-    BasicFunction("cos", np.cos, lambda t, a: t.cos(a)),
-    BasicFunction("tan", _tan,
-                  lambda t, a: t.mul(t.sin(a), t.pow(t.cos(a), -1.0))),
-    BasicFunction("tanh", np.tanh, lambda t, a: t.tanh(a)),
-    BasicFunction("atan", np.arctan, lambda t, a: t.atan(a)),
-    BasicFunction("abs", np.abs, lambda t, a: t.absval(a)),
-    BasicFunction("sqrt", np.sqrt, lambda t, a: t.pow(a, 0.5)),
-)
+LIBRARY = tuple(BasicFunction(name, fn, tape)
+                for name, (fn, tape, _, _) in _PRIMITIVES.items()
+                if tape is not None)
 
 LIBRARY_BY_NAME = {f.name: f for f in LIBRARY}
 
 
 @dataclass(frozen=True)
-class EdgeFit:
+class EdgeFit(FixedEdge):
     """Best affine-wrapped match of one primitive to one edge curve."""
 
-    name: str
-    a: float
-    b: float
-    c: float
-    d: float
     r2: float
-
-    def __call__(self, x):
-        f = LIBRARY_BY_NAME[self.name]
-        return self.c * f(self.a * np.asarray(x, dtype=float) + self.b) + self.d
 
 
 # ----------------------------------------------------------------------
@@ -193,10 +204,6 @@ def fix_edge(params: KanParams, edge: tuple, fit: EdgeFit) -> KanParams:
 # ----------------------------------------------------------------------
 # expression trees
 # ----------------------------------------------------------------------
-
-EVAL_FUNCS = {name: f.fn for name, f in LIBRARY_BY_NAME.items()}
-EVAL_FUNCS["sign"] = np.sign
-
 
 class Expr:
     def eval(self, env: dict):
@@ -333,8 +340,8 @@ class Call(Expr):
 
     def eval(self, env):
         with np.errstate(all="ignore"):
-            return EVAL_FUNCS[self.fname](np.asarray(self.arg.eval(env),
-                                                     dtype=float))
+            return _PRIMITIVES[self.fname][0](np.asarray(self.arg.eval(env),
+                                                         dtype=float))
 
     def render(self):
         return f"{self.fname}({self.arg.render()})"
@@ -344,23 +351,10 @@ class Call(Expr):
                 "children": [self.arg.to_dict()]}
 
     def diff(self, var):
-        u = self.arg
-        du = u.diff(var)
-        table = {
-            "exp": lambda: Call("exp", u),
-            "log": lambda: Pow(u, -1.0),
-            "sin": lambda: Call("cos", u),
-            "cos": lambda: Mul((Num(-1.0), Call("sin", u))),
-            "tan": lambda: Add((Num(1.0), Pow(Call("tan", u), 2.0))),
-            "tanh": lambda: Add((Num(1.0),
-                                 Mul((Num(-1.0), Pow(Call("tanh", u), 2.0))))),
-            "atan": lambda: Pow(Add((Num(1.0), Pow(u, 2.0))), -1.0),
-            "abs": lambda: Call("sign", u),
-            "sign": lambda: Num(0.0),
-        }
-        if self.fname not in table:
+        rule = _PRIMITIVES.get(self.fname, (None,) * 4)[3]
+        if rule is None:
             raise ValueError(f"no derivative rule for {self.fname!r}")
-        return simplify(Mul((table[self.fname](), du)))
+        return simplify(Mul((rule(self.arg), self.arg.diff(var))))
 
 
 def simplify(expr: Expr) -> Expr:
@@ -412,25 +406,11 @@ def simplify(expr: Expr) -> Expr:
     if isinstance(expr, Call):
         arg = simplify(expr.arg)
         if isinstance(arg, Num):
-            val = float(EVAL_FUNCS[expr.fname](arg.value))
+            val = float(_PRIMITIVES[expr.fname][0](arg.value))
             if np.isfinite(val):
                 return Num(val)
         return Call(expr.fname, arg)
     return expr
-
-
-def _primitive_expr(name: str, inner: Expr) -> Expr:
-    builders = {
-        "x": lambda u: u,
-        "x^2": lambda u: Pow(u, 2.0),
-        "x^3": lambda u: Pow(u, 3.0),
-        "1/x": lambda u: Pow(u, -1.0),
-        "1/x^2": lambda u: Pow(u, -2.0),
-        "sqrt": lambda u: Pow(u, 0.5),
-    }
-    if name in builders:
-        return builders[name](inner)
-    return Call(name, inner)
 
 
 INPUT_VARS = ("V_D", "V_G")
@@ -455,13 +435,11 @@ def extract_formula(spec: NetworkSpec, params: KanParams,
             for i in range(layer.n_in):
                 fx = layer.fixed[(i, j)]
                 if l == 0 and INPUT_VARS[i] in ablated:
-                    f = LIBRARY_BY_NAME[fx.name]
-                    val = float(fx.c * f(fx.b) + fx.d)
-                    terms.append(Num(val))
+                    terms.append(Num(float(fx(0.0))))
                     continue
                 inner = simplify(Add((
                     Mul((Num(fx.a * scales[i]), exprs[i])), Num(fx.b))))
-                body = _primitive_expr(fx.name, inner)
+                body = _PRIMITIVES[fx.name][2](inner)
                 terms.append(simplify(Add((Mul((Num(fx.c), body)),
                                            Num(fx.d)))))
             terms.append(Num(float(layer.bias[j])))

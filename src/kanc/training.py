@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import device, evaluate, networks
+from . import device, evaluate
 from .device import derivative_stencil, generate_dataset
 from .diffengine import EvaluationError, Tape
 from .networks import (
@@ -45,7 +45,7 @@ FULL_EPOCHS = {"mlp": 100000, "kan": 1500, "fkan": 60000}
 
 
 # ----------------------------------------------------------------------
-# losses (plain numpy)
+# losses
 # ----------------------------------------------------------------------
 
 def mse(pred, true) -> float:
@@ -61,36 +61,24 @@ def log_current_targets(i_field: np.ndarray) -> np.ndarray:
     return np.log(np.clip(i_field, CURRENT_FLOOR, None))
 
 
-def _grid_shape(y, dataset):
-    n = dataset.train_indices.size
-    return np.asarray(y, dtype=float).reshape(n, n)
-
-
 def loss_current(y, dataset, weight: float = 100.0) -> float:
     """Six-term current objective for head outputs ``y`` (log-amperes) on
     the train sub-grid."""
-    yf = _grid_shape(y, dataset)
-    i_data = dataset.train_field("I_D")
-    d = derivative_stencil(yf.shape[0], dataset.step_mv / 1000.0)
-    i_model = np.exp(yf)
-    total = weight * mse(i_model, i_data)
-    total += mse(yf, log_current_targets(i_data))
-    total += mse(i_model @ d.T, i_data @ d.T)
-    total += mse(d @ i_model, d @ i_data)
-    total += mse((i_model @ d.T) @ d.T, (i_data @ d.T) @ d.T)
-    total += mse(d @ (d @ i_model), d @ (d @ i_data))
-    return float(total)
+    return _grid_loss_value(y, dataset, "I_D", weight)
 
 
 def loss_charge(y, dataset, target: str) -> float:
     """Charge objective: value plus both first grid derivatives."""
-    yf = _grid_shape(y, dataset)
-    q_data = dataset.train_field(target)
-    d = derivative_stencil(yf.shape[0], dataset.step_mv / 1000.0)
-    total = mse(yf, q_data)
-    total += mse(yf @ d.T, q_data @ d.T)
-    total += mse(d @ yf, d @ q_data)
-    return float(total)
+    return _grid_loss_value(y, dataset, target, 100.0)
+
+
+def _grid_loss_value(y, dataset, target, weight) -> float:
+    tape = Tape()
+    _grid_loss(tape, tape.const(y), dataset, target, weight)
+    try:
+        return float(tape.forward({}))
+    except EvaluationError:
+        return np.inf
 
 
 # ----------------------------------------------------------------------
@@ -100,13 +88,12 @@ def loss_charge(y, dataset, target: str) -> float:
 class Objective:
     """A scalar tape loss over a flat parameter vector."""
 
-    def __init__(self, tape: Tape, names: list, shapes: list, extra: dict):
+    def __init__(self, tape: Tape, names: list, shapes: list):
         self.tape = tape
         self.names = names
         self.shapes = shapes
         self.sizes = [int(np.prod(s)) if s else 1 for s in shapes]
         self.offsets = np.cumsum([0] + self.sizes)
-        self.extra = extra  # constant leaf values (none today, kept simple)
 
     @property
     def n_params(self) -> int:
@@ -148,15 +135,12 @@ def _tape_mse(tape: Tape, node: int, data: np.ndarray) -> int:
     return tape.mean(tape.pow(diff, 2.0))
 
 
-def build_grid_objective(spec: NetworkSpec, params, dataset, target: str,
-                         weight: float = 100.0) -> Objective:
-    """Tape mirror of :func:`loss_current` / :func:`loss_charge` around a
-    network forward pass on the train sub-grid."""
+def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
+               weight: float) -> int:
+    """Append the grid objective for head outputs ``y_flat`` (an (N,) node
+    over the train sub-grid, row-major in V_D) and return its scalar node:
+    six terms for a current head, three for a charge head."""
     n = dataset.train_indices.size
-    x_norm = device.normalize_voltages(dataset.train_inputs())
-    tape = Tape()
-    leaves: dict = {}
-    y_flat = build_forward_tape(tape, spec, params, x_norm, leaves)
     y = tape.reshape(y_flat, (n, n))
     d = derivative_stencil(n, dataset.step_mv / 1000.0)
     d_t = tape.const(d.T)
@@ -183,9 +167,21 @@ def build_grid_objective(spec: NetworkSpec, params, dataset, target: str,
             tape, tape.matmul(y, d_t), q_data @ d.T))
         total = tape.add(total, _tape_mse(
             tape, tape.matmul(d_m, y), d @ q_data))
+    return total
+
+
+def build_grid_objective(spec: NetworkSpec, params, dataset, target: str,
+                         weight: float = 100.0) -> Objective:
+    """The grid objective of :func:`loss_current` / :func:`loss_charge`
+    around a network forward pass on the train sub-grid."""
+    x_norm = device.normalize_voltages(dataset.train_inputs())
+    tape = Tape()
+    leaves: dict = {}
+    y_flat = build_forward_tape(tape, spec, params, x_norm, leaves)
+    total = _grid_loss(tape, y_flat, dataset, target, weight)
     assert total == len(tape.nodes) - 1
     specs = leaf_spec(spec, params)
-    return Objective(tape, [n_ for n_, _ in specs], [s for _, s in specs], {})
+    return Objective(tape, [n_ for n_, _ in specs], [s for _, s in specs])
 
 
 def build_mse_objective(spec: NetworkSpec, params, x: np.ndarray,
@@ -197,7 +193,7 @@ def build_mse_objective(spec: NetworkSpec, params, x: np.ndarray,
                              leaves)
     _tape_mse(tape, out, np.asarray(y, dtype=float))
     specs = leaf_spec(spec, params)
-    return Objective(tape, [n_ for n_, _ in specs], [s for _, s in specs], {})
+    return Objective(tape, [n_ for n_, _ in specs], [s for _, s in specs])
 
 
 # ----------------------------------------------------------------------
@@ -238,7 +234,10 @@ def _cubic_interpolate(x1, f1, g1, x2, f2, g2, bounds=None):
     else:
         xmin_bound, xmax_bound = (x1, x2) if x1 <= x2 else (x2, x1)
     d1 = g1 + g2 - 3 * (f1 - f2) / (x1 - x2)
-    d2_square = d1**2 - g1 * g2
+    try:
+        d2_square = d1**2 - g1 * g2
+    except OverflowError:      # no finite cubic: bisect as below
+        d2_square = -1.0
     if d2_square >= 0:
         d2 = np.sqrt(d2_square)
         if x1 <= x2:
@@ -684,23 +683,25 @@ class SweepResult:
 
 def seed_sweep(cfg: TrainConfig, n_seeds: int) -> SweepResult:
     """Train ``n_seeds`` replicas differing only in seed and summarize the
-    error quartiles (linear interpolation) over the non-diverged runs."""
+    error quartiles (linear interpolation) over the non-diverged runs.
+
+    Each row also holds the replica's ``checkpoint`` and ``log``.
+    """
     if n_seeds < 1:
         raise ValueError("need at least one seed")
+    dataset = generate_dataset(cfg.step_mv)
     rows = []
     for offset in range(n_seeds):
         run_cfg = replace(cfg, seed=cfg.seed + offset)
         ck, log = train(run_cfg)
-        dataset = generate_dataset(cfg.step_mv)
-        if log.diverged:
-            rows.append({"seed": run_cfg.seed, "diverged": True,
-                         "train_mape": None, "test_mape": None,
-                         "final_loss": None})
-            continue
-        errs = evaluate.split_errors(ck, dataset, cfg.target)
-        rows.append({"seed": run_cfg.seed, "diverged": False,
-                     "train_mape": errs["train"], "test_mape": errs["test"],
-                     "final_loss": ck.meta["final_loss"]})
+        row = {"seed": run_cfg.seed, "diverged": log.diverged,
+               "train_mape": None, "test_mape": None, "final_loss": None,
+               "checkpoint": ck, "log": log}
+        if not log.diverged:
+            errs = evaluate.split_errors(ck, dataset, cfg.target)
+            row.update(train_mape=errs["train"], test_mape=errs["test"],
+                       final_loss=ck.meta["final_loss"])
+        rows.append(row)
     summary = {}
     for key in ("train_mape", "test_mape"):
         vals = [r[key] for r in rows if not r["diverged"] and r[key] is not None]

@@ -189,6 +189,28 @@ class TestTrain:
         assert (tmp_path / "checkpoint.txt").exists()
         assert (tmp_path / "trainlog.csv").exists()
 
+    @pytest.mark.parametrize("extra", [
+        ("--sweep", "-1"),
+        ("--epochs", "0"),
+        ("--epochs", "-5"),
+        ("--family", "kan", "--epochs", "4"),      # five ladder stages
+        ("--family", "kan", "--ladder", "2,4", "--epochs", "1"),
+    ])
+    def test_bad_flags_exit_2_before_writing(self, tmp_path, capsys, extra):
+        out = tmp_path / "o"
+        assert run(*self.flags(out), *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_epochs_below_one_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nfamily = mlp\nepochs = 0\n"
+                       f"[run]\nout_dir = {tmp_path / 'o'}\n")
+        assert run("train", "--config", str(cfg)) == 2
+        assert "epochs" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_writes_all_replicas_and_table(self, tmp_path):
         assert run("train", "--family", "mlp", "--target", "Q_S",
                    "--step-mv", "50", "--epochs", "2", "--sweep", "3",
@@ -229,6 +251,14 @@ class TestEval:
         manifest = json.loads(read(out / "manifest.json"))
         assert set(manifest["inputs"]) == {ck_path, str(data)}
         assert all(len(h) == 64 for h in manifest["inputs"].values())
+
+    def test_checkpoint_without_kind_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ck.txt"
+        lines = read(oracle_checkpoint_file(tmp_path)).split("\n")
+        path.write_text("\n".join(ln for ln in lines if ln != "kind oracle"))
+        assert run("eval", "--checkpoint", str(path), "--out-dir",
+                   str(tmp_path / "rep")) == 2
+        assert "'kind'" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert run("eval", "--checkpoint", str(tmp_path / "no.txt"),

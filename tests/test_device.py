@@ -120,11 +120,6 @@ class TestDatasetSplits:
         with pytest.raises(ValueError):
             generate_dataset(7)
 
-    def test_points_view_matches_counts(self):
-        ds = generate_dataset(50)
-        assert len(ds.train_points) == 289
-        assert len(ds.test_points) == 26936
-
     def test_train_inputs_row_major(self):
         ds = generate_dataset(50)
         xy = ds.train_inputs()

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kanc import diffengine, splines
-from kanc.diffengine import EvaluationError, Tape, backward, forward, grad_check
+from kanc.diffengine import EvaluationError, Tape, grad_check
 
 
 class TestForward:
@@ -14,8 +14,8 @@ class TestForward:
         tape = Tape()
         x = tape.leaf("x")
         tape.pow(x, 2.0)
-        assert forward(tape, {"x": 3.0}) == 9.0
-        grads = backward(tape)
+        assert tape.forward({"x": 3.0}) == 9.0
+        grads = tape.backward()
         assert grads["x"] == 6.0
 
     def test_product_rule(self):
@@ -23,9 +23,9 @@ class TestForward:
         tape = Tape()
         x = tape.leaf("x")
         tape.mul(x, tape.sin(x))
-        val = forward(tape, {"x": np.pi / 2})
+        val = tape.forward({"x": np.pi / 2})
         assert_allclose(val, np.pi / 2, rtol=1e-15)
-        grads = backward(tape)
+        grads = tape.backward()
         # d/dx x sin x = sin x + x cos x = 1 at pi/2
         assert_allclose(grads["x"], 1.0, rtol=0, atol=1e-15)
 
@@ -35,8 +35,8 @@ class TestForward:
         x = tape.leaf("x", (5,))
         tape.sum(tape.sin(x))
         xs = np.linspace(-1.0, 2.0, 5)
-        forward(tape, {"x": xs})
-        grads = backward(tape)
+        tape.forward({"x": xs})
+        grads = tape.backward()
         assert_allclose(grads["x"], np.cos(xs), rtol=1e-14)
 
     def test_matmul_chain(self):
@@ -47,14 +47,14 @@ class TestForward:
         tape = Tape()
         w = tape.leaf("W", (3, 2))
         tape.sum(tape.tanh(tape.matmul(tape.const(X), w)))
-        val = forward(tape, {"W": W})
+        val = tape.forward({"W": W})
         assert_allclose(val, np.tanh(X @ W).sum(), rtol=1e-14)
 
     def test_missing_leaf_raises(self):
         tape = Tape()
         tape.leaf("x")
         with pytest.raises(ValueError):
-            forward(tape, {})
+            tape.forward({})
 
     def test_nonfinite_intermediate_names_node(self):
         """log of a negative number aborts with the offending node index."""
@@ -63,14 +63,14 @@ class TestForward:
         bad = tape.log(x)
         tape.sum(bad)
         with pytest.raises(EvaluationError) as err:
-            forward(tape, {"x": -1.0})
+            tape.forward({"x": -1.0})
         assert f"node {bad}" in str(err.value)
 
     def test_shape_mismatch_raises(self):
         tape = Tape()
         tape.leaf("x", (3,))
         with pytest.raises(ValueError):
-            forward(tape, {"x": np.zeros(4)})
+            tape.forward({"x": np.zeros(4)})
 
 
 class TestBackward:
@@ -78,17 +78,17 @@ class TestBackward:
         tape = Tape()
         x = tape.leaf("x", (3,))
         tape.sin(x)
-        forward(tape, {"x": np.zeros(3)})
+        tape.forward({"x": np.zeros(3)})
         with pytest.raises(ValueError):
-            backward(tape)
+            tape.backward()
 
     def test_unused_leaf_gets_zero_gradient(self):
         tape = Tape()
         x = tape.leaf("x")
         tape.leaf("y", (2,))
         tape.pow(x, 2.0)
-        forward(tape, {"x": 2.0, "y": np.ones(2)})
-        grads = backward(tape)
+        tape.forward({"x": 2.0, "y": np.ones(2)})
+        grads = tape.backward()
         assert_allclose(grads["y"], np.zeros(2), rtol=0, atol=0)
 
     def test_linearity_of_adjoints(self):
@@ -103,8 +103,8 @@ class TestBackward:
             tape.add(
                 tape.mul(tape.const(alpha), f), tape.mul(tape.const(beta), g)
             )
-            forward(tape, {"x": xs})
-            return backward(tape)["x"]
+            tape.forward({"x": xs})
+            return tape.backward()["x"]
 
         combined = build(2.0, -3.0)
         assert_allclose(combined, 2.0 * build(1.0, 0.0) - 3.0 * build(0.0, 1.0),
@@ -115,8 +115,8 @@ class TestBackward:
         tape = Tape()
         b = tape.leaf("b", (3,))
         tape.sum(tape.add(tape.const(np.zeros((5, 3))), b))
-        forward(tape, {"b": np.zeros(3)})
-        grads = backward(tape)
+        tape.forward({"b": np.zeros(3)})
+        grads = tape.backward()
         assert_allclose(grads["b"], np.full(3, 5.0), rtol=0, atol=0)
 
     def test_repeated_forward_reuses_tape(self):
@@ -124,10 +124,27 @@ class TestBackward:
         tape = Tape()
         x = tape.leaf("x")
         tape.exp(x)
-        assert_allclose(forward(tape, {"x": 0.0}), 1.0, rtol=0)
-        assert_allclose(forward(tape, {"x": 1.0}), np.e, rtol=1e-15)
-        grads = backward(tape)
+        assert_allclose(tape.forward({"x": 0.0}), 1.0, rtol=0)
+        assert_allclose(tape.forward({"x": 1.0}), np.e, rtol=1e-15)
+        grads = tape.backward()
         assert_allclose(grads["x"], np.e, rtol=1e-15)
+
+    def test_constant_subgraph_is_evaluated_once(self, monkeypatch):
+        """sin of a constant runs on the first pass only; later passes with
+        new leaf values reuse it and still give exact values and gradients."""
+        xs = np.linspace(0.1, 1.0, 5)
+        tape = Tape()
+        w = tape.leaf("w", (5,))
+        tape.sum(tape.mul(tape.sin(tape.const(xs)), w))
+        calls = []
+        real_sin = np.sin
+        monkeypatch.setattr(diffengine.np, "sin",
+                            lambda a: calls.append(1) or real_sin(a))
+        for scale in (1.0, 2.0, 3.0):
+            value = tape.forward({"w": np.full(5, scale)})
+            assert value == scale * real_sin(xs).sum()
+            assert np.array_equal(tape.backward()["w"], real_sin(xs))
+        assert len(calls) == 1
 
 
 class TestSplinePrimitive:
@@ -139,7 +156,7 @@ class TestSplinePrimitive:
         tape = Tape()
         c = tape.leaf("c", coeffs.shape)
         tape.spline(tape.const(xs), c, kv)
-        val = forward(tape, {"c": coeffs})
+        val = tape.forward({"c": coeffs})
         assert_allclose(val, splines.basis_matrix(kv, xs) @ coeffs, rtol=1e-14)
 
     def test_spline_coefficient_gradient(self):
@@ -149,8 +166,8 @@ class TestSplinePrimitive:
         tape = Tape()
         c = tape.leaf("c", (kv.n_basis,))
         tape.sum(tape.spline(tape.const(xs), c, kv))
-        forward(tape, {"c": np.zeros(kv.n_basis)})
-        grads = backward(tape)
+        tape.forward({"c": np.zeros(kv.n_basis)})
+        grads = tape.backward()
         assert_allclose(grads["c"], splines.basis_matrix(kv, xs).sum(axis=0),
                         rtol=1e-14)
 
@@ -241,8 +258,8 @@ class TestDeterminism:
             tape = Tape()
             x = tape.leaf("x", (8,))
             tape.sum(tape.mul(tape.silu(x), tape.cos(x)))
-            val = forward(tape, leaves)
-            return val, backward(tape)["x"]
+            val = tape.forward(leaves)
+            return val, tape.backward()["x"]
 
         v1, g1 = run()
         v2, g2 = run()

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kanc import networks, splines
-from kanc.diffengine import Tape, backward, forward, grad_check
+from kanc.diffengine import Tape, grad_check
 from kanc.networks import (
     Checkpoint,
     CheckpointError,
@@ -215,7 +215,7 @@ class TestTapeBuilders:
         tape = Tape()
         out_idx = build_forward_tape(tape, spec, params, xs)
         tape.sum(out_idx)  # make final node scalar for backward tests
-        forward(tape, leaf_values(spec, params))
+        tape.forward(leaf_values(spec, params))
         fast = {
             "mlp1": mlp_forward, "kan1": kan_forward, "fkan1": fkan_forward
         }[name](spec, params, xs)
@@ -244,7 +244,7 @@ class TestTapeBuilders:
         fast = kan_forward(spec, params, xs)
         tape = Tape()
         out = build_forward_tape(tape, spec, params, xs)
-        forward(tape, leaf_values(spec, params))
+        tape.forward(leaf_values(spec, params))
         assert_allclose(tape.value(out), fast, rtol=0, atol=1e-12)
 
 
@@ -346,6 +346,59 @@ class TestCheckpointIO:
         path = tmp_path / "bad.txt"
         path.write_text("kanc-v9\nend\n")
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_meta_round_trips(self, value, tmp_path):
+        """The writer stores a missing final loss as ``inf``; the reader
+        takes back every non-finite float it writes."""
+        ck = Checkpoint(preset("oracle", "Q_S"), None,
+                        {"final_loss": value, "target": "Q_S"})
+        path = tmp_path / "ck.txt"
+        save_checkpoint(ck, path)
+        got = load_checkpoint(path).meta["final_loss"]
+        assert (math.isnan(got) if math.isnan(value) else got == value)
+
+    @pytest.mark.parametrize("line,name,n_lines", [
+        ("kind mlp", "kind", 1),
+        ("conversion charge-scale", "conversion", 1),
+        ("widths 2 16 16 1", "widths", 1),
+        ("array L1.W 16 16", "L1.W", 2),      # header plus values line
+    ])
+    def test_missing_entry_is_named(self, line, name, n_lines, tmp_path):
+        spec = preset("mlp1", "Q_S")
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, init_params(spec, 0), {}), path)
+        lines = path.read_text().split("\n")
+        at = lines.index(line)
+        del lines[at:at + n_lines]
+        path.write_text("\n".join(lines))
+        with pytest.raises(CheckpointError, match=name):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("row", ["fixed 0 1 0 sinh", "fixed 0 2 0 sin",
+                                     "fixed 3 0 0 sin"])
+    def test_bad_pinned_edge_rejected(self, row, tmp_path):
+        """An unknown primitive or an edge outside the network fails at
+        load time, not at the first forward pass."""
+        spec = NetworkSpec("kan", (2, 1), "charge-scale", grid=3)
+        params = init_params(spec, seed=0, grid_size=3)
+        params.layers[0].fixed[(1, 0)] = FixedEdge("sin", 1.0, 0.0, 1.0, 0.0)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, params, {}), path)
+        text = path.read_text()
+        path.write_text(text.replace("fixed 0 1 0 sin", row))
+        with pytest.raises(CheckpointError, match="pinned edge"):
+            load_checkpoint(path)
+
+    def test_dense_activation_other_than_tanh_rejected(self, tmp_path):
+        spec = preset("mlp1", "Q_S")
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, init_params(spec, 0), {}), path)
+        text = path.read_text()
+        assert "\nactivation tanh\n" in text
+        path.write_text(text.replace("activation tanh", "activation relu"))
+        with pytest.raises(CheckpointError, match="relu"):
             load_checkpoint(path)
 
     def test_oracle_checkpoint_round_trip(self, tmp_path):

@@ -1,6 +1,8 @@
 """Tests for primitive fitting, expression trees, and the closed-form
 extraction loop."""
 
+import copy
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -316,7 +318,7 @@ class TestIterativeLoop:
         assert len(rounds) == 1
 
         x_norm = device.normalize_voltages(ds.train_inputs())
-        params = networks.clone_params(ck.spec, ck.params)
+        params = copy.deepcopy(ck.params)
         samples = edge_samples(ck.spec, params, x_norm)
         for edge in symbolic.edge_ids(params):
             xs, ys = samples[edge]

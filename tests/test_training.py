@@ -1,5 +1,7 @@
 """Tests for grid objectives, optimizers, and the family trainers."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -323,6 +325,16 @@ class TestLbfgs:
         assert not diverged
         assert len(losses) == 1
 
+    @pytest.mark.parametrize("bounds", [None, (0.25, 0.75)])
+    def test_cubic_step_survives_overflowing_slopes(self, bounds):
+        """Slopes near 1e200 square past the float range; the step falls
+        back to the middle of the bracket instead of raising."""
+        t = training._cubic_interpolate(0.0, 1.0, 1e200, 1.0, 2.0, 1e200,
+                                        bounds=bounds)
+        lo, hi = bounds or (0.0, 1.0)
+        assert lo <= t <= hi
+        assert t == 0.5 * (lo + hi)
+
 
 class TestRunLbfgsStage:
     def test_stage_reduces_grid_loss(self):
@@ -492,6 +504,20 @@ class TestSeedSweep:
         assert_allclose([s["q25"], s["median"], s["q75"]], [q25, q50, q75],
                         rtol=1e-12)
         assert s["min"] == min(vals) and s["max"] == max(vals)
+
+    def test_rows_carry_each_replica(self):
+        """Each row holds the replica's checkpoint and log, which match a
+        plain training run at that seed."""
+        cfg = training.TrainConfig(family="mlp", target="Q_S", step_mv=50,
+                                   epochs=3, seed=2)
+        sweep = training.seed_sweep(cfg, 2)
+        for row in sweep.rows:
+            ck, log = training.train(replace(cfg, seed=row["seed"]))
+            assert row["log"].losses == log.losses
+            assert row["checkpoint"].meta == ck.meta
+            for a, b in zip(row["checkpoint"].params.weights,
+                            ck.params.weights):
+                assert np.array_equal(a, b)
 
     def test_zero_seeds_rejected(self):
         with pytest.raises(ValueError):
