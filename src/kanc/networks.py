@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device, splines
-from .diffengine import Tape
+from .diffengine import Tape, fourier_sum, fourier_tables
 
 CONVERSIONS = ("exp-current", "charge-scale")
 KINDS = ("mlp", "kan", "fkan", "oracle")
@@ -309,11 +309,8 @@ def kan_forward(spec: NetworkSpec, params: KanParams, x, record: bool = False):
 def fkan_forward(spec: NetworkSpec, params: FkanParams, x):
     h, single = _as_batch(x)
     for layer in params.layers:
-        freqs = np.arange(1, layer.grid + 1, dtype=float)
-        ang = h[:, :, None] * freqs[None, None, :]     # (N, n_in, grid)
-        cos_t = np.einsum("nig,oig->no", np.cos(ang), layer.cos_coef)
-        sin_t = np.einsum("nig,oig->no", np.sin(ang), layer.sin_coef)
-        h = cos_t + sin_t + layer.bias[None, :]
+        C, S = fourier_tables(h, layer.grid)
+        h = fourier_sum(C, S, layer.cos_coef, layer.sin_coef) + layer.bias[None, :]
     out = h[:, 0]
     return float(out[0]) if single else out
 
@@ -494,25 +491,11 @@ def build_forward_tape(tape: Tape, spec: NetworkSpec, params, x_const: np.ndarra
 
     if spec.kind == "fkan":
         h = tape.const(x_const)
-        width = x_const.shape[1]
         for l, layer in enumerate(params.layers):
-            g = layer.grid
-            expand = np.zeros((width, width * g))
-            for i in range(width):
-                expand[i, i * g : (i + 1) * g] = np.arange(1, g + 1)
-            ang = tape.matmul(h, tape.const(expand))
-            cos_l = get_leaf(f"L{l}.cos", layer.cos_coef.shape)
-            sin_l = get_leaf(f"L{l}.sin", layer.sin_coef.shape)
+            cos_w = get_leaf(f"L{l}.cos", layer.cos_coef.shape)
+            sin_w = get_leaf(f"L{l}.sin", layer.sin_coef.shape)
             bias = get_leaf(f"L{l}.bias", layer.bias.shape)
-            n_out = layer.bias.size
-            cos_w = tape.transpose(tape.reshape(cos_l, (n_out, width * g)))
-            sin_w = tape.transpose(tape.reshape(sin_l, (n_out, width * g)))
-            h = tape.add(
-                tape.add(tape.matmul(tape.cos(ang), cos_w),
-                         tape.matmul(tape.sin(ang), sin_w)),
-                bias,
-            )
-            width = n_out
+            h = tape.add(tape.fourier(h, cos_w, sin_w), bias)
         return tape.reshape(h, (n,))
 
     raise ValueError(f"no tape builder for kind {spec.kind!r}")
@@ -592,7 +575,10 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     if spec.kind == "fkan":
         lines.append("grids " + " ".join(str(g) for g in spec.fkan_grids))
     for key in sorted(ck.meta):
-        lines.append(f"meta {key} {ck.meta[key]!r}")
+        value = ck.meta[key]
+        if isinstance(value, np.generic):   # np.float64(0.5) is written 0.5
+            value = value.item()
+        lines.append(f"meta {key} {value!r}")
     p = ck.params
     if spec.kind == "mlp":
         for l, (w, b) in enumerate(zip(p.weights, p.biases)):

@@ -238,13 +238,17 @@ def _cubic_interpolate(x1, f1, g1, x2, f2, g2, bounds=None):
         d2_square = d1**2 - g1 * g2
     except OverflowError:      # no finite cubic: bisect as below
         d2_square = -1.0
-    if d2_square >= 0:
+    # ``g1 * g2`` may also overflow to an infinity without raising; a cubic
+    # with an infinite or undefined minimizer falls back to bisection too
+    if 0 <= d2_square < np.inf:
         d2 = np.sqrt(d2_square)
-        if x1 <= x2:
-            min_pos = x2 - (x2 - x1) * ((g2 + d2 - d1) / (g2 - g1 + 2 * d2))
-        else:
-            min_pos = x1 - (x1 - x2) * ((g1 + d2 - d1) / (g1 - g2 + 2 * d2))
-        return min(max(min_pos, xmin_bound), xmax_bound)
+        with np.errstate(all="ignore"):
+            if x1 <= x2:
+                min_pos = x2 - (x2 - x1) * ((g2 + d2 - d1) / (g2 - g1 + 2 * d2))
+            else:
+                min_pos = x1 - (x1 - x2) * ((g1 + d2 - d1) / (g1 - g2 + 2 * d2))
+        if np.isfinite(min_pos):
+            return min(max(min_pos, xmin_bound), xmax_bound)
     return (xmin_bound + xmax_bound) / 2.0
 
 

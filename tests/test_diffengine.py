@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kanc import diffengine, splines
-from kanc.diffengine import EvaluationError, Tape, grad_check
+from kanc.diffengine import (EvaluationError, Tape, fourier_sum,
+                             fourier_tables, grad_check)
 
 
 class TestForward:
@@ -182,6 +183,73 @@ class TestSplinePrimitive:
         c = tape.leaf("c", coeffs.shape)
         tape.sum(tape.spline(x, c, kv))
         assert grad_check(tape, {"x": xs, "c": coeffs}, step=1e-6) < 1e-5
+
+
+class TestFourierPrimitive:
+    def test_tables_match_direct_trig(self):
+        """Angle addition stays within 1e-13 of cos(k h) and sin(k h) for
+        every frequency up to 8 on |h| <= 50."""
+        h = np.random.default_rng(21).uniform(-50.0, 50.0, size=(4000, 3))
+        C, S = fourier_tables(h, 8)
+        assert C.shape == S.shape == (8, 4000, 3)
+        k = np.arange(1, 9, dtype=float)[:, None, None]
+        assert np.abs(C - np.cos(k * h)).max() <= 1e-13
+        assert np.abs(S - np.sin(k * h)).max() <= 1e-13
+
+    def test_value_matches_direct_sum(self):
+        rng = np.random.default_rng(22)
+        h = rng.normal(size=(30, 3))
+        cos_w = rng.normal(size=(4, 3, 5))
+        sin_w = rng.normal(size=(4, 3, 5))
+        tape = Tape()
+        tape.fourier(tape.const(h), tape.const(cos_w), tape.const(sin_w))
+        k = np.arange(1, 6, dtype=float)
+        ang = h[:, :, None] * k                       # (N, n_in, grid)
+        direct = (np.einsum("nik,oik->no", np.cos(ang), cos_w)
+                  + np.einsum("nik,oik->no", np.sin(ang), sin_w))
+        assert_allclose(tape.forward({}), direct, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_in,n_out,grid", [(8, 8, 2), (2, 8, 8), (8, 1, 8)])
+    def test_gradcheck_with_leaf_input(self, n_in, n_out, grid):
+        """Adjoints of input and both weight tables agree with central
+        differences on the layer shapes of the Fourier presets.  Inputs keep
+        every angle k h in (0, pi/2) and the output weights are positive, so
+        no weight gradient is a near-cancelling sum that central differences
+        cannot resolve to 1e-6."""
+        rng = np.random.default_rng(23)
+        tape = Tape()
+        h = tape.leaf("h", (6, n_in))
+        cw = tape.leaf("cw", (n_out, n_in, grid))
+        sw = tape.leaf("sw", (n_out, n_in, grid))
+        out = tape.fourier(h, cw, sw)
+        tape.sum(tape.mul(out, tape.const(rng.uniform(0.5, 1.5, size=(6, n_out)))))
+        leaves = {"h": rng.uniform(0.05, 1.5 / grid, size=(6, n_in)),
+                  "cw": rng.normal(size=(n_out, n_in, grid)),
+                  "sw": rng.normal(size=(n_out, n_in, grid))}
+        assert grad_check(tape, leaves, step=1e-6) < 1e-6
+
+    def test_fixed_input_tables_built_once(self, monkeypatch):
+        """A constant input gets its tables on the first pass only, and no
+        adjoint flows into it."""
+        rng = np.random.default_rng(24)
+        h = rng.normal(size=(10, 2))
+        tape = Tape()
+        cw = tape.leaf("cw", (3, 2, 4))
+        sw = tape.leaf("sw", (3, 2, 4))
+        tape.sum(tape.fourier(tape.const(h), cw, sw))
+        calls = []
+        real_cos = np.cos
+        monkeypatch.setattr(diffengine.np, "cos",
+                            lambda a, **kw: calls.append(1) or real_cos(a, **kw))
+        C, S = fourier_tables(h, 4)
+        calls.clear()
+        for scale in (1.0, 2.0):
+            w = np.full((3, 2, 4), scale)
+            assert tape.forward({"cw": w, "sw": w}) == fourier_sum(C, S, w, w).sum()
+            grads = tape.backward()
+            assert_allclose(grads["cw"], np.broadcast_to(C.sum(axis=1).T, (3, 2, 4)),
+                            rtol=1e-14)
+        assert len(calls) == 1
 
 
 class TestGradCheck:

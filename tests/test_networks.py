@@ -221,6 +221,43 @@ class TestTapeBuilders:
         }[name](spec, params, xs)
         assert_allclose(tape.value(out_idx), fast, rtol=0, atol=1e-12)
 
+    def test_fkan_tape_is_one_fourier_node_per_layer(self):
+        spec = preset("fkan1", "I_D")
+        tape = Tape()
+        build_forward_tape(tape, spec, init_params(spec, seed=3),
+                           np.random.default_rng(38).uniform(0, 1, size=(20, 2)))
+        ops = [node.op for node in tape.nodes]
+        assert ops.count("fourier") == 2
+        assert "sin" not in ops and "cos" not in ops
+
+    @pytest.mark.parametrize("name", ["fkan1", "fkan2"])
+    def test_fkan_trig_calls_per_pass(self, name, monkeypatch):
+        """Each forward pass takes one np.cos/np.sin pair per layer whose
+        input depends on the weights; layer 0 reads the constant grid and
+        takes its pair on the first pass only.  Backward takes none."""
+        spec = preset(name, "I_D")
+        params = init_params(spec, seed=4)
+        tape = Tape()
+        out = build_forward_tape(tape, spec, params,
+                                 np.random.default_rng(39).uniform(0, 1, size=(30, 2)))
+        tape.sum(out)
+        calls = {"sin": 0, "cos": 0}
+        for fn in calls:
+            real = getattr(np, fn)
+
+            def counted(*args, _fn=fn, _real=real, **kwargs):
+                calls[_fn] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(networks.np, fn, counted)
+        n_layers = len(params.layers)
+        for first in (True, False, False):
+            calls.update(sin=0, cos=0)
+            tape.forward(leaf_values(spec, params))
+            tape.backward()
+            expected = n_layers if first else n_layers - 1
+            assert calls == {"sin": expected, "cos": expected}
+
     def test_tape_gradients_all_families(self):
         rng = np.random.default_rng(32)
         for name in ("mlp1", "kan1", "fkan1"):
@@ -317,6 +354,20 @@ class TestCheckpointIO:
         fwd = {"mlp1": mlp_forward, "kan2": kan_forward, "fkan2": fkan_forward}
         assert np.array_equal(fwd[name](spec, params, xs),
                               fwd[name](back.spec, back.params, xs))
+
+    def test_numpy_scalar_meta_round_trips(self, tmp_path):
+        """Numpy scalars in meta are written as the Python values they
+        hold, so the reader takes them back."""
+        spec = preset("mlp1", "Q_G")
+        meta = {"final_loss": np.float64(0.5), "seed": np.int64(7),
+                "epochs": 3}
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, init_params(spec, seed=1), meta), path)
+        assert "meta final_loss 0.5\n" in path.read_text()
+        back = load_checkpoint(path)
+        assert back.meta == {"final_loss": 0.5, "seed": 7, "epochs": 3}
+        assert type(back.meta["final_loss"]) is float
+        assert type(back.meta["seed"]) is int
 
     def test_fixed_edges_survive_round_trip(self, tmp_path):
         spec = NetworkSpec("kan", (2, 2, 1), "charge-scale", grid=3)

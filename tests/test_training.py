@@ -335,6 +335,12 @@ class TestLbfgs:
         assert lo <= t <= hi
         assert t == 0.5 * (lo + hi)
 
+    def test_cubic_step_survives_silently_overflowing_product(self):
+        """``g1 * g2`` overflows to -inf without raising, which made the
+        cubic's minimizer inf/inf = nan; the step bisects instead."""
+        t = training._cubic_interpolate(0.0, 1.0, 1e300, 1.0, 2.0, -1e300)
+        assert t == 0.5
+
 
 class TestRunLbfgsStage:
     def test_stage_reduces_grid_loss(self):
