@@ -24,6 +24,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -123,6 +124,25 @@ TRAIN_FIELDS = {
 }
 
 
+TRAIN_RANGES = {
+    "lr": (lambda v: v > 0, "> 0"),
+    "loss_weight": (lambda v: v >= 0, ">= 0"),
+    "weight_decay": (lambda v: v >= 0, ">= 0"),
+    "plateau_window": (lambda v: v >= 1, ">= 1"),
+    "plateau_threshold": (lambda v: 0 <= v < 1, "in [0, 1)"),
+    "plateau_factor": (lambda v: 0 < v <= 1, "in (0, 1]"),
+    "lr_floor": (lambda v: v >= 0, ">= 0"),
+    "lbfgs_history": (lambda v: v >= 1, ">= 1"),
+}
+
+
+def _check_range(name: str, value, test, need: str) -> None:
+    """Reject a non-finite or out-of-range setting; None means unset."""
+    if value is not None and not (math.isfinite(value) and test(value)):
+        raise ConfigError(f"{name} must be a finite number {need}, "
+                          f"got {value!r}")
+
+
 def load_train_config(path) -> dict:
     """Parse the [train] section of an INI file into config values."""
     cp = configparser.ConfigParser()
@@ -165,11 +185,13 @@ def build_train_config(args) -> tuple:
         raise ConfigError(f"unknown family {cfg.family!r}")
     if cfg.step_mv not in device.TRAIN_STEPS_MV:
         raise ConfigError(f"unsupported grid step {cfg.step_mv} mV")
-    if args.sweep < 0:
-        raise ConfigError(f"--sweep must be 0 or more, got {args.sweep}")
+    for name, (test, need) in TRAIN_RANGES.items():
+        _check_range(name, getattr(cfg, name), test, need)
+    if min(cfg.ladder) < 1 or list(cfg.ladder) != sorted(cfg.ladder):
+        raise ConfigError(f"ladder must be non-decreasing sizes >= 1, got {list(cfg.ladder)}")
+    _check_range("--sweep", args.sweep, lambda v: v >= 0, ">= 0")
     epochs = cfg.resolved_epochs()
-    if epochs < 1:
-        raise ConfigError(f"epochs must be at least 1, got {epochs}")
+    _check_range("epochs", epochs, lambda v: v >= 1, ">= 1")
     if cfg.family == "kan" and epochs < len(cfg.ladder):
         raise ConfigError(f"a kan budget of {epochs} epochs cannot cover "
                           f"{len(cfg.ladder)} ladder stages")
@@ -276,6 +298,8 @@ def cmd_derivs(args) -> int:
 
 
 def cmd_symbolic(args) -> int:
+    _check_range("--retrain-epochs", args.retrain_epochs, lambda v: v >= 1, ">= 1")
+    _check_range("--lr", args.lr, lambda v: v > 0, "> 0")
     ck = networks.load_checkpoint(args.checkpoint)
     dataset = _load_dataset_for(ck, args.step, None)
     if args.mode == "posthoc":

@@ -239,37 +239,52 @@ def save_dataset(dataset: VoltageGridDataset, path) -> None:
 
 
 def load_dataset(path) -> VoltageGridDataset:
-    """Rebuild a dataset from `save_dataset` output, verifying the lattice."""
-    rows = []
+    """Rebuild a dataset from `save_dataset` output, parsing rows as they are
+    read.  Every master-grid point must appear once, in seven columns, with
+    a split label that matches the train step the labels imply."""
+    axis_mv = np.arange(0, int(round(V_MAX * 1000)) + 1, MASTER_STEP_MV)
+    n = axis_mv.size
+    nums = np.empty((n * n, 6))
+    is_train = np.empty(n * n, dtype=bool)
+    count = 0
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        for row in reader:
-            rows.append(row)
-    vd_mv = np.array([int(round(float(r[0]) * 1000)) for r in rows])
-    vg_mv = np.array([int(round(float(r[1]) * 1000)) for r in rows])
-    axis_mv = np.unique(vd_mv)
-    if not np.array_equal(axis_mv, np.unique(vg_mv)):
-        raise ValueError("V_D and V_G axes differ")
-    step = int(np.diff(axis_mv).min())
-    if step != MASTER_STEP_MV:
-        raise ValueError(f"master grid must step {MASTER_STEP_MV} mV, got {step}")
-    n = axis_mv.size
-    lookup = {mv: i for i, mv in enumerate(axis_mv)}
+        if next(reader, None) != CSV_HEADER:
+            raise ValueError("unexpected header; expected " + ",".join(CSV_HEADER))
+        for line, r in enumerate(reader, start=2):
+            if len(r) != len(CSV_HEADER) or r[6] not in ("train", "test"):
+                raise ValueError(f"line {line} does not hold {len(CSV_HEADER)} "
+                                 "columns ending in 'train' or 'test'")
+            if count == n * n:
+                raise ValueError(f"lattice has more rows than its {n * n} points")
+            nums[count] = [float(v) for v in r[:6]]
+            is_train[count] = r[6] == "train"
+            count += 1
+    if count != n * n:
+        raise ValueError(f"lattice has {count} of its {n * n} points")
+    point_mv = np.rint(nums[:, :2] * 1000)
+    off = ~(np.isin(point_mv, axis_mv).all(axis=1) & np.isfinite(nums).all(axis=1))
+    if off.any():
+        raise ValueError(f"line {np.argmax(off) + 2} is not finite or not on the "
+                         f"{MASTER_STEP_MV} mV master grid 0..{axis_mv[-1]} mV")
+    i, j = (point_mv // MASTER_STEP_MV).astype(int).T
+    seen = np.zeros((n, n), dtype=int)
+    np.add.at(seen, (i, j), 1)
+    if seen.max() > 1:
+        a, b = np.argwhere(seen > 1)[0]
+        raise ValueError(f"point V_D={axis_mv[a]} mV, V_G={axis_mv[b]} mV "
+                         f"appears {seen[a, b]} times")
     fields = {name: np.zeros((n, n)) for name in FIELD_NAMES}
-    train_axis_mv = set()
-    for r, dmv, gmv in zip(rows, vd_mv, vg_mv):
-        i, j = lookup[int(dmv)], lookup[int(gmv)]
-        for col, name in enumerate(FIELD_NAMES, start=2):
-            fields[name][i, j] = float(r[col])
-        if r[6] == "train":
-            train_axis_mv.add(int(dmv))
-            train_axis_mv.add(int(gmv))
-    train_sorted = np.array(sorted(train_axis_mv))
-    step_mv = int(np.diff(train_sorted).min()) if train_sorted.size > 1 else MASTER_STEP_MV
+    for col, name in enumerate(FIELD_NAMES, start=2):
+        fields[name][i, j] = nums[:, col]
+    train_mv = np.unique(point_mv[is_train])
+    step_mv = int(np.diff(train_mv).min()) if train_mv.size > 1 else MASTER_STEP_MV
     if step_mv not in TRAIN_STEPS_MV:
         raise ValueError(f"inferred train step {step_mv} mV is not supported")
-    return VoltageGridDataset(step_mv=step_mv, vd_axis=axis_mv / 1000.0,
-                              vg_axis=axis_mv / 1000.0, fields=fields)
+    dataset = VoltageGridDataset(step_mv=step_mv, vd_axis=axis_mv / 1000.0,
+                                 vg_axis=axis_mv / 1000.0, fields=fields)
+    wrong = dataset.train_mask[i, j] != is_train
+    if wrong.any():
+        raise ValueError(f"line {np.argmax(wrong) + 2} has the wrong split "
+                         f"for the inferred {step_mv} mV train step")
+    return dataset

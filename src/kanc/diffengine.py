@@ -12,7 +12,8 @@ after that, and the backward pass sends no adjoint into them.
 A Fourier edge layer is one ``fourier`` node.  Its tables of ``cos(k h)``
 and ``sin(k h)`` come from :func:`fourier_tables`, which takes a single
 ``np.cos``/``np.sin`` pair of ``h`` and builds the higher frequencies by
-angle addition.
+angle addition.  A ``spline`` node works on the ``order + 1`` local basis
+rows of :func:`splines._local_basis` and builds no dense basis matrix.
 """
 
 from __future__ import annotations
@@ -181,9 +182,6 @@ class Tape:
     def reshape(self, a, shape):
         return self._push(Node("reshape", (a,), tuple(shape)))
 
-    def transpose(self, a):
-        return self._push(Node("transpose", (a,)))
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -249,16 +247,14 @@ class Tape:
                 elif op == "abs":
                     val = np.abs(v[a[0]])
                 elif op == "spline":
-                    basis, _ = self._basis_pair(node, v[a[0]])
-                    val = basis @ v[a[1]]
+                    first, vals, _ = self._local_basis(node, v[a[0]])
+                    val = splines._combine(first, vals, v[a[1]])
                 elif op == "sum":
                     val = np.sum(v[a[0]], axis=node.aux)
                 elif op == "scale":
                     val = v[a[0]] / self.values_size(node.aux)
                 elif op == "reshape":
                     val = np.reshape(v[a[0]], node.aux)
-                elif op == "transpose":
-                    val = np.transpose(v[a[0]])
                 else:  # pragma: no cover
                     raise ValueError(f"unknown op {op!r}")
                 val = np.asarray(val, dtype=float)
@@ -362,11 +358,13 @@ class Tape:
                 elif op == "abs":
                     accumulate(a[0], g * np.sign(v[a[0]]))
                 elif op == "spline":
-                    basis, dbasis = self._basis_pair(node, v[a[0]])
-                    if live[a[1]]:
-                        accumulate(a[1], basis.T @ g)
+                    first, vals, derivs = self._local_basis(node, v[a[0]])
+                    if live[a[1]]:  # coefficient first + m sums vals[m] * g
+                        slots = first.ravel() + np.arange(len(vals))[:, None]
+                        accumulate(a[1], np.bincount(slots.ravel(), (vals * g).ravel(),
+                                                     v[a[1]].size))
                     if live[a[0]]:
-                        accumulate(a[0], g * (dbasis @ v[a[1]]))
+                        accumulate(a[0], g * splines._combine(first, derivs, v[a[1]]))
                 elif op == "sum":
                     axis = node.aux
                     if axis is None:
@@ -377,8 +375,6 @@ class Tape:
                     accumulate(a[0], g / self.values_size(node.aux))
                 elif op == "reshape":
                     accumulate(a[0], np.reshape(g, np.asarray(v[a[0]]).shape))
-                elif op == "transpose":
-                    accumulate(a[0], np.transpose(g))
                 else:  # pragma: no cover
                     raise ValueError(f"unknown op {op!r}")
 
@@ -418,17 +414,15 @@ class Tape:
                 self._table_buffers[key] = tables
         return tables
 
-    def _basis_pair(self, node: Node, x_val):
+    def _local_basis(self, node: Node, x_val):
+        # one local basis per (input, knots) per pass, shared by its splines
         kv = node.aux
         key = (node.args[0], kv.key())
-        pair = self._basis_cache.get(key)
-        if pair is None:
-            pair = (
-                splines.basis_matrix(kv, x_val),
-                splines.basis_deriv_matrix(kv, x_val),
-            )
-            self._basis_cache[key] = pair
-        return pair
+        local = self._basis_cache.get(key)
+        if local is None:
+            local = splines._local_basis(kv, x_val)
+            self._basis_cache[key] = local
+        return local
 
 
 def grad_check(tape: Tape, leaf_values: dict, step: float = 1e-6) -> float:

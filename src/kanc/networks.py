@@ -141,12 +141,6 @@ class KanLayer:
     def n_out(self) -> int:
         return self.coeffs.shape[1]
 
-    def activation(self, i: int, j: int) -> splines.SplineActivation:
-        return splines.SplineActivation(
-            self.knots, self.coeffs[i, j].copy(),
-            float(self.w_b[i, j]), float(self.w_s[i, j])
-        )
-
 
 @dataclass
 class KanParams:

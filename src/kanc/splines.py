@@ -7,6 +7,9 @@ functions.  Evaluation outside the domain clamps the knot-cell index, which
 extends each boundary piece as a polynomial, so activations stay smooth
 when an input drifts out of range.  Refinement inserts knots (bisecting the
 widest cells), so a refined spline reproduces the coarse one exactly.
+
+One local kernel gives the ``order + 1`` supported basis functions and their
+derivatives per sample; splines and dense design matrices are built from it.
 """
 
 from __future__ import annotations
@@ -88,65 +91,62 @@ class KnotVector:
                 self.interior)
 
 
-def _find_cells(kv: KnotVector, x: np.ndarray) -> np.ndarray:
-    """Knot-cell index per sample, clamped to the domain cells."""
-    j = np.searchsorted(kv.knots, x, side="right") - 1
-    return np.clip(j, kv.order, kv.grid_size + kv.order - 1)
-
-
-def _nonzero_basis(kv: KnotVector, x: np.ndarray, j: np.ndarray, order: int):
-    """Triangular recurrence for the ``order + 1`` basis functions that are
-    supported on cell ``j``, evaluated at ``x`` (polynomially extended when
-    ``x`` lies outside the cell)."""
-    t = kv.knots
-    vals = np.zeros(x.shape + (order + 1,))
-    vals[..., 0] = 1.0
-    left = np.zeros(x.shape + (order + 1,))
-    right = np.zeros(x.shape + (order + 1,))
-    for r in range(1, order + 1):
-        left[..., r] = x - t[j + 1 - r]
-        right[..., r] = t[j + r] - x
-        saved = np.zeros_like(x)
+def _local_basis(kv: KnotVector, x):
+    """``(first, vals, derivs)``: the ``order + 1`` basis functions
+    supported at each sample and their derivatives, ``vals[m]`` and
+    ``derivs[m]`` (each ``(order + 1, *x.shape)``) belonging to function
+    ``first + m``.  One triangular recurrence (de Boor) on the knot cell,
+    clamped to the domain so boundary pieces extend as polynomials; the
+    derivative ``B'_{i,k} = k (B_{i,k-1} / (t[i+k] - t[i]) - B_{i+1,k-1} /
+    (t[i+k+1] - t[i+1]))`` uses the order ``k - 1`` row it builds on its way.
+    """
+    x = np.asarray(x, dtype=float)
+    k, t = kv.order, kv.knots
+    j = np.clip(np.searchsorted(t, x, side="right") - 1, k, kv.grid_size + k - 1)
+    vals = np.empty((k + 1,) + x.shape)
+    derivs = np.zeros((k + 1,) + x.shape)
+    vals[0] = 1.0
+    left, right = {}, {}
+    for r in range(1, k + 1):
+        left[r] = x - t[j + 1 - r]
+        right[r] = t[j + r] - x
+        saved = 0.0
         for m in range(r):
-            denom = right[..., m + 1] + left[..., r - m]
-            temp = vals[..., m] / denom
-            vals[..., m] = saved + right[..., m + 1] * temp
-            saved = left[..., r - m] * temp
-        vals[..., r] = saved
-    return vals
+            # vals[m] is B_{i,r-1}, i = j - r + 1 + m; divisor t[i+r] - t[i]
+            temp = vals[m] / (right[m + 1] + left[r - m])
+            if r == k:
+                w = k * temp
+                derivs[m] -= w
+                derivs[m + 1] += w
+            vals[m] = saved + right[m + 1] * temp
+            saved = left[r - m] * temp
+        vals[r] = saved
+    return j - k, vals, derivs
+
+
+def _combine(first, rows, coeffs) -> np.ndarray:
+    """``sum_m rows[m] * coeffs[first + m]`` for rows of :func:`_local_basis`."""
+    slots = first + np.arange(len(rows)).reshape((-1,) + (1,) * first.ndim)
+    return np.einsum("m...,m...->...", rows, coeffs.take(slots))
+
+
+def _dense(kv: KnotVector, x, row: int) -> np.ndarray:
+    """Row 1 (values) or 2 (derivatives) of the local basis, made dense."""
+    local = _local_basis(kv, np.atleast_1d(np.asarray(x, dtype=float)))
+    out = np.zeros((local[0].size, kv.n_basis))
+    cols = local[0][:, None] + np.arange(kv.order + 1)
+    np.put_along_axis(out, cols, local[row].T, axis=1)
+    return out
 
 
 def basis_matrix(kv: KnotVector, x) -> np.ndarray:
     """All basis functions evaluated at ``x``; shape ``(len(x), n_basis)``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    j = _find_cells(kv, x)
-    vals = _nonzero_basis(kv, x, j, kv.order)
-    out = np.zeros((x.size, kv.n_basis))
-    cols = j[:, None] - kv.order + np.arange(kv.order + 1)[None, :]
-    out[np.arange(x.size)[:, None], cols] = vals
-    return out
+    return _dense(kv, x, 1)
 
 
 def basis_deriv_matrix(kv: KnotVector, x) -> np.ndarray:
     """First derivative of every basis function at ``x``."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    k = kv.order
-    out = np.zeros((x.size, kv.n_basis))
-    if k == 0:
-        return out
-    t = kv.knots
-    j = _find_cells(kv, x)
-    # Order k-1 functions supported on cell j carry indices j-k+1 .. j; pad a
-    # zero on each side so every order-k difference below has both terms.
-    lower = _nonzero_basis(kv, x, j, k - 1)
-    padded = np.zeros((x.size, k + 2))
-    padded[:, 1 : k + 1] = lower
-    idx = j[:, None] - k + np.arange(k + 1)[None, :]
-    den_a = t[idx + k] - t[idx]
-    den_b = t[idx + k + 1] - t[idx + 1]
-    deriv = k * (padded[:, : k + 1] / den_a - padded[:, 1 : k + 2] / den_b)
-    out[np.arange(x.size)[:, None], idx] = deriv
-    return out
+    return _dense(kv, x, 2)
 
 
 def basis_eval(kv: KnotVector, x: float) -> np.ndarray:
@@ -154,22 +154,22 @@ def basis_eval(kv: KnotVector, x: float) -> np.ndarray:
     return basis_matrix(kv, [x])[0]
 
 
-def silu(x):
-    """x * sigmoid(x), computed with a sign split so large |x| stays stable."""
-    x = np.asarray(x, dtype=float)
+def _sigmoid(x):
+    """Sigmoid with a sign split, so large |x| stays stable."""
     pos = x >= 0
-    z = np.where(pos, -x, x)
-    ez = np.exp(z)
-    sig = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
-    return x * sig
+    ez = np.exp(np.where(pos, -x, x))
+    return np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+
+
+def silu(x):
+    """x * sigmoid(x)."""
+    x = np.asarray(x, dtype=float)
+    return x * _sigmoid(x)
 
 
 def silu_deriv(x):
     x = np.asarray(x, dtype=float)
-    pos = x >= 0
-    z = np.where(pos, -x, x)
-    ez = np.exp(z)
-    sig = np.where(pos, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    sig = _sigmoid(x)
     return sig * (1.0 + x * (1.0 - sig))
 
 
@@ -194,7 +194,8 @@ def spline_eval(act: SplineActivation, x):
     """Edge output at ``x`` (scalar in, scalar out; array in, array out)."""
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    y = act.w_b * silu(xv) + act.w_s * (basis_matrix(act.knots, xv) @ act.coeffs)
+    first, vals, _ = _local_basis(act.knots, xv)
+    y = act.w_b * silu(xv) + act.w_s * _combine(first, vals, act.coeffs)
     return float(y[0]) if scalar else y
 
 
@@ -202,9 +203,8 @@ def spline_deriv(act: SplineActivation, x):
     """Derivative of the edge output with respect to its input."""
     scalar = np.isscalar(x) or np.asarray(x).ndim == 0
     xv = np.atleast_1d(np.asarray(x, dtype=float))
-    y = act.w_b * silu_deriv(xv) + act.w_s * (
-        basis_deriv_matrix(act.knots, xv) @ act.coeffs
-    )
+    first, _, derivs = _local_basis(act.knots, xv)
+    y = act.w_b * silu_deriv(xv) + act.w_s * _combine(first, derivs, act.coeffs)
     return float(y[0]) if scalar else y
 
 

@@ -648,34 +648,6 @@ def train(cfg: TrainConfig):
 
 
 # ----------------------------------------------------------------------
-# generic curve fitting (1-D helper built from the same pieces)
-# ----------------------------------------------------------------------
-
-def fit_kan_curve(xs, ys, widths=(1, 1), ladder=(2, 4, 8, 12, 16),
-                  epochs_per_stage: int = 300, lr: float = 1.0,
-                  seed: int = 0, spline_order: int = 3):
-    """Fit a spline network to scalar samples on [0, 1] through the full
-    refinement ladder.  Returns (spec, params, final mse)."""
-    xs = np.asarray(xs, dtype=float).reshape(-1, widths[0])
-    ys = np.asarray(ys, dtype=float).ravel()
-    spec = NetworkSpec("kan", widths, "charge-scale",
-                       spline_order=spline_order, grid=ladder[-1])
-    params = init_params(spec, seed, grid_size=ladder[0])
-    for grid in ladder:
-        if grid != params.grid_size:
-            params = refine_kan(params, grid)
-        objective = build_mse_objective(spec, params, xs, ys)
-        x0 = objective.pack(leaf_values(spec, params))
-        x, _, diverged = lbfgs_minimize(objective.value_grad, x0,
-                                        epochs_per_stage, lr)
-        if diverged:
-            break
-        params = set_leaf_values(spec, params, objective.unpack(x))
-    final = mse(kan_forward(spec, params, xs), ys)
-    return spec, params, final
-
-
-# ----------------------------------------------------------------------
 # seed sweeps
 # ----------------------------------------------------------------------
 

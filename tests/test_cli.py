@@ -203,6 +203,34 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ("--lr", "nan"),
+        ("--lr", "0"),
+        ("--loss-weight", "-1"),
+        ("--weight-decay", "inf"),
+        ("--plateau-window", "0"),
+        ("--plateau-threshold", "1"),
+        ("--plateau-factor", "1.5"),
+        ("--lr-floor=-1e-5",),
+        ("--lbfgs-history", "0"),
+        ("--family", "kan", "--ladder", "4,2"),
+    ])
+    def test_bad_numeric_flags_exit_2_before_writing(self, tmp_path, capsys,
+                                                     extra):
+        out = tmp_path / "o"
+        assert run(*self.flags(out), *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_config_numeric_values_are_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nfamily = mlp\nlr = nan\n"
+                       f"[run]\nout_dir = {tmp_path / 'o'}\n")
+        assert run("train", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: lr must be")
+        assert not (tmp_path / "o").exists()
+
     def test_config_epochs_below_one_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[train]\nfamily = mlp\nepochs = 0\n"
@@ -260,6 +288,23 @@ class TestEval:
                    str(tmp_path / "rep")) == 2
         assert "'kind'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit", [
+        lambda ls: ls[:50] + ls[150:],                       # points missing
+        lambda ls: ls + [ls[7]],                             # point twice
+        lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0]],     # column cut off
+    ])
+    def test_incomplete_dataset_file_exits_2(self, tmp_path, capsys, edit):
+        data = tmp_path / "g.csv"
+        assert run("gen-data", "--step", "50", "--out", str(data)) == 0
+        header, *lines = read(data).splitlines()
+        data.write_text("\n".join([header] + edit(lines)) + "\n")
+        out = tmp_path / "rep"
+        assert run("eval", "--checkpoint", oracle_checkpoint_file(tmp_path),
+                   "--data", str(data), "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert run("eval", "--checkpoint", str(tmp_path / "no.txt"),
                    "--out-dir", str(tmp_path)) == 2
@@ -316,6 +361,24 @@ class TestSymbolic:
                    "--out-dir", str(out)) == 0
         rounds = read(out / "rounds.csv").strip().split("\n")
         assert len(rounds) == 1 + 1
+
+    @pytest.mark.parametrize("extra", [
+        ("--retrain-epochs", "-5"),
+        ("--retrain-epochs", "0"),
+        ("--lr", "nan"),
+        ("--lr", "inf"),
+        ("--lr", "-1"),
+    ])
+    def test_bad_numeric_flags_exit_2_before_writing(self, tmp_path, capsys,
+                                                     extra):
+        ck_path = oracle_checkpoint_file(tmp_path)
+        out = tmp_path / "sr"
+        assert run("symbolic", "--checkpoint", ck_path, "--out-dir", str(out),
+                   *extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert extra[0] in err
+        assert not out.exists()
 
     def test_dense_network_checkpoint_rejected(self, tmp_path, capsys):
         spec = networks.preset("mlp1", "Q_S")

@@ -210,3 +210,43 @@ class TestPersistence:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
             load_dataset(path)
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        """A 50 mV dataset file with its data lines passed through ``edit``."""
+        path = tmp_path / "grid.csv"
+        save_dataset(generate_dataset(50), path)
+        header, *lines = path.read_text().splitlines()
+        path.write_text("\n".join([header] + edit(lines)) + "\n")
+        return path
+
+    def test_rejects_missing_points(self, tmp_path):
+        path = self.edited(tmp_path, lambda ls: ls[:50] + ls[150:])
+        with pytest.raises(ValueError, match="27125 of its 27225 points"):
+            load_dataset(path)
+
+    def test_rejects_duplicate_point(self, tmp_path):
+        path = self.edited(tmp_path, lambda ls: ls + [ls[7]])
+        with pytest.raises(ValueError, match="more rows than"):
+            load_dataset(path)
+        path = self.edited(tmp_path, lambda ls: ls[:-1] + [ls[7]])
+        with pytest.raises(ValueError, match="appears 2 times"):
+            load_dataset(path)
+
+    def test_rejects_short_row(self, tmp_path):
+        path = self.edited(tmp_path,
+                           lambda ls: ls[:-1] + [ls[-1].rsplit(",", 1)[0]])
+        with pytest.raises(ValueError, match="does not hold 7 columns"):
+            load_dataset(path)
+
+    def test_rejects_non_finite_value(self, tmp_path):
+        path = self.edited(tmp_path, lambda ls: [ls[0].replace(
+            ls[0].split(",")[2], "nan", 1)] + ls[1:])
+        with pytest.raises(ValueError, match="not finite"):
+            load_dataset(path)
+
+    def test_rejects_split_that_contradicts_the_lattice(self, tmp_path):
+        path = self.edited(tmp_path, lambda ls: [ls[0].replace("train", "test")]
+                           + ls[1:])
+        with pytest.raises(ValueError, match="wrong split"):
+            load_dataset(path)

@@ -197,7 +197,9 @@ class TestForwardOracles:
         """A [1, 1] spline network with zero bias is exactly its edge curve."""
         spec = NetworkSpec("kan", (1, 1), "charge-scale", grid=5)
         params = init_params(spec, seed=6, grid_size=5)
-        act = params.layers[0].activation(0, 0)
+        layer = params.layers[0]
+        act = splines.SplineActivation(layer.knots, layer.coeffs[0, 0],
+                                       layer.w_b[0, 0], layer.w_s[0, 0])
         xs = np.linspace(0, 1, 50)[:, None]
         assert_allclose(kan_forward(spec, params, xs),
                         splines.spline_eval(act, xs[:, 0]), rtol=0, atol=1e-14)
@@ -257,6 +259,35 @@ class TestTapeBuilders:
             tape.backward()
             expected = n_layers if first else n_layers - 1
             assert calls == {"sin": expected, "cos": expected}
+
+    @pytest.mark.parametrize("name", ["kan1", "kan2"])
+    def test_spline_kernel_calls_per_pass(self, name, monkeypatch):
+        """A value-and-gradient pass builds no dense basis matrix and runs
+        the local spline kernel once per input column of each hidden
+        layer; the layer-0 columns read the constant grid and are
+        evaluated on the first pass only."""
+        from kanc import device, training
+
+        spec = preset(name, "Q_S")
+        params = init_params(spec, seed=5)
+        objective = training.build_grid_objective(
+            spec, params, device.generate_dataset(50), "Q_S")
+        x = objective.pack(leaf_values(spec, params))
+
+        def dense(*args, **kwargs):
+            raise AssertionError("dense basis matrix built")
+
+        monkeypatch.setattr(splines, "basis_matrix", dense)
+        monkeypatch.setattr(splines, "basis_deriv_matrix", dense)
+        calls = []
+        real = splines._local_basis
+        monkeypatch.setattr(splines, "_local_basis",
+                            lambda kv, xv: calls.append(xv.shape) or real(kv, xv))
+        hidden = sum(layer.n_in for layer in params.layers[1:])
+        for first in (True, False, False):
+            calls.clear()
+            objective.value_grad(x)
+            assert len(calls) == hidden + (params.layers[0].n_in if first else 0)
 
     def test_tape_gradients_all_families(self):
         rng = np.random.default_rng(32)

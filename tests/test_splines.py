@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kanc import splines
+from kanc.diffengine import Tape, grad_check
 from kanc.splines import (
     KnotVector,
     RefinementError,
@@ -31,6 +34,118 @@ def naive_basis(knots, i, k, x):
             knots, i + 1, k - 1, x
         )
     return left + right
+
+
+def clamped_cell(kv, x):
+    """The knot cell ``j`` with ``t_j <= x < t_{j+1}``, clamped to the
+    domain cells (found by a scalar scan)."""
+    j = kv.order
+    while j < kv.grid_size + kv.order - 1 and kv.knots[j + 1] <= x:
+        j += 1
+    return j
+
+
+def piece_basis(knots, i, k, j, x):
+    """Value and derivative of B_{i,k} at ``x`` on the polynomial piece of
+    cell ``j``: the Cox-de Boor recursion with the order-0 indicator fixed
+    to cell ``j`` (which extends boundary pieces past the domain), and the
+    derivative by the product rule on that recursion."""
+    if k == 0:
+        return (1.0 if i == j else 0.0), 0.0
+    lo_v, lo_d = piece_basis(knots, i, k - 1, j, x)
+    hi_v, hi_d = piece_basis(knots, i + 1, k - 1, j, x)
+    wa = knots[i + k] - knots[i]
+    wb = knots[i + k + 1] - knots[i + 1]
+    val = (x - knots[i]) / wa * lo_v + (knots[i + k + 1] - x) / wb * hi_v
+    der = (lo_v / wa + (x - knots[i]) / wa * lo_d
+           - hi_v / wb + (knots[i + k + 1] - x) / wb * hi_d)
+    return val, der
+
+
+@st.composite
+def knots_and_points(draw):
+    """A knot vector with random strictly increasing interior knots (cell
+    widths within a factor of 10), and points inside the domain, outside
+    it, and exactly on knots."""
+    grid = draw(st.integers(1, 10))
+    order = draw(st.integers(0, 3))
+    lo = draw(st.floats(-2.0, 1.0))
+    width = draw(st.floats(0.5, 3.0))
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=grid,
+                                  max_size=grid)))
+    interior = tuple(lo + width * np.cumsum(gaps)[:-1] / gaps.sum())
+    kv = splines.KnotVector(grid, order, lo, lo + width, interior=interior)
+    inside = draw(st.lists(st.floats(lo, lo + width), min_size=1, max_size=8))
+    outside = draw(st.lists(st.floats(lo - width, lo) | st.floats(lo + width,
+                            lo + 2 * width), max_size=4))
+    on_knots = draw(st.lists(st.sampled_from(list(kv.knots)), max_size=6))
+    return kv, np.array(inside + outside + on_knots)
+
+
+class TestLocalKernel:
+    """``splines._local_basis`` against an independent scalar reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(knots_and_points())
+    def test_matches_scalar_cox_de_boor(self, case):
+        kv, xs = case
+        k = kv.order
+        first, vals, derivs = splines._local_basis(kv, xs)
+        assert vals.shape == derivs.shape == (k + 1,) + xs.shape
+        ref_v = np.empty_like(vals)
+        ref_d = np.empty_like(derivs)
+        for n, x in enumerate(xs):
+            j = clamped_cell(kv, x)
+            assert first[n] == j - k
+            for m in range(k + 1):
+                ref_v[m, n], ref_d[m, n] = piece_basis(kv.knots, j - k + m,
+                                                       k, j, x)
+        # past the domain the extended pieces may exceed 1
+        assert_allclose(vals, ref_v, rtol=0,
+                        atol=1e-12 * max(1.0, np.abs(ref_v).max()))
+        assert_allclose(derivs, ref_d, rtol=0,
+                        atol=1e-12 * max(1.0, np.abs(ref_d).max()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(knots_and_points())
+    def test_partition_of_unity(self, case):
+        kv, xs = case
+        _, vals, derivs = splines._local_basis(kv, xs)
+        scale = max(1.0, np.abs(vals).max())
+        assert_allclose(vals.sum(axis=0), 1.0, rtol=0, atol=1e-12 * scale)
+        assert_allclose(derivs.sum(axis=0), 0.0, rtol=0,
+                        atol=1e-12 * max(1.0, np.abs(derivs).max()))
+
+    def test_any_input_shape(self):
+        kv = KnotVector(grid_size=6, order=3)
+        xs = np.random.default_rng(2).uniform(-0.2, 1.2, size=(5, 4))
+        first, vals, derivs = splines._local_basis(kv, xs)
+        flat = splines._local_basis(kv, xs.ravel())
+        assert first.shape == xs.shape and vals.shape == (4, 5, 4)
+        assert np.array_equal(first.ravel(), flat[0])
+        assert np.array_equal(vals.reshape(4, -1), flat[1])
+        assert np.array_equal(derivs.reshape(4, -1), flat[2])
+        first, vals, derivs = splines._local_basis(kv, xs[2, 1])
+        assert first == flat[0][9] and vals.shape == derivs.shape == (4,)
+        assert np.array_equal(vals, flat[1][:, 9])
+        assert np.array_equal(derivs, flat[2][:, 9])
+
+    @pytest.mark.parametrize("kv", [
+        KnotVector(2, 3), KnotVector(4, 3), KnotVector(8, 3),
+        splines.refined_knots(KnotVector(8, 3), 12), KnotVector(16, 3),
+    ], ids=["2", "4", "8", "12-non-uniform", "16"])
+    def test_tape_spline_grad_check(self, kv):
+        """The tape op differentiates in a leaf input and leaf coefficients.
+        Increasing coefficients keep the spline's slope, and so every input
+        gradient, away from zero."""
+        rng = np.random.default_rng(kv.grid_size)
+        coeffs = np.cumsum(rng.uniform(0.5, 1.5, size=kv.n_basis))
+        coeffs = 2.0 * (coeffs - coeffs.min()) / np.ptp(coeffs) - 1.0
+        xs = np.linspace(-0.05, 1.05, 41) + rng.uniform(-0.01, 0.01, size=41)
+        tape = Tape()
+        tape.sum(tape.spline(tape.leaf("x", xs.shape),
+                             tape.leaf("c", coeffs.shape), kv))
+        assert grad_check(tape, {"x": xs, "c": coeffs}) < 1e-6
 
 
 class TestKnotVector:

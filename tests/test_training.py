@@ -483,20 +483,6 @@ class TestTrainLog:
         assert len(lines) == 3
 
 
-class TestFitKanCurve:
-    def test_fits_a_full_sine_period(self):
-        """The refinement ladder resolves one full oscillation on the unit
-        interval to an MSE below 1e-4."""
-        xs = np.linspace(0.0, 1.0, 200)
-        ys = np.sin(2.0 * np.pi * xs)
-        spec, params, final = training.fit_kan_curve(xs, ys,
-                                                     epochs_per_stage=120)
-        assert final < 1e-4
-        assert params.grid_size == 16
-        got = networks.kan_forward(spec, params, xs.reshape(-1, 1))
-        assert_allclose(got, ys, atol=0.05)
-
-
 class TestSeedSweep:
     def test_rows_and_quartiles(self):
         cfg = training.TrainConfig(family="mlp", target="Q_S", step_mv=50,
