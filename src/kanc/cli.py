@@ -185,6 +185,13 @@ def build_train_config(args) -> tuple:
         raise ConfigError(f"unknown family {cfg.family!r}")
     if cfg.step_mv not in device.TRAIN_STEPS_MV:
         raise ConfigError(f"unsupported grid step {cfg.step_mv} mV")
+    try:
+        spec = networks.preset(cfg.resolved_arch(), cfg.target)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if spec.kind != cfg.family:
+        raise ConfigError(f"preset {cfg.resolved_arch()!r} is not a "
+                          f"{cfg.family} network")
     for name, (test, need) in TRAIN_RANGES.items():
         _check_range(name, getattr(cfg, name), test, need)
     if min(cfg.ladder) < 1 or list(cfg.ladder) != sorted(cfg.ladder):
@@ -313,10 +320,15 @@ def cmd_symbolic(args) -> int:
         fh.write(model.text + "\n")
     test_mape = (model.mape(dataset, "test")
                  if dataset.test_inputs().shape[0] else None)
+    nonfinite = model.nonfinite_points(dataset)
+    if nonfinite:
+        print(f"warning: the formula is not finite at {nonfinite} points of "
+              f"the {device.MASTER_STEP_MV} mV master grid", file=sys.stderr)
     blob = {"target": model.target, "text": model.text,
             "tree": model.tree.to_dict(),
             "train_mape": model.mape(dataset, "train"),
-            "test_mape": test_mape}
+            "test_mape": test_mape,
+            "nonfinite_points": nonfinite}
     with open(os.path.join(args.out_dir, "formula.json"), "w") as fh:
         fh.write(json.dumps(blob, indent=2, sort_keys=True) + "\n")
     table = []

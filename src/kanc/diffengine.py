@@ -50,6 +50,28 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
     return grad
 
 
+def _power(x, p: float):
+    """``x ** p``, by multiplication for the exponents 3, -2 and -3.
+
+    numpy's ``**`` sends these to libm ``pow``, about 70 ns per element on
+    negative bases against about 1 ns per product (x86-64, numpy 2.4).
+    The negative powers square or cube the reciprocal, so no intermediate
+    overflows or underflows where the result does not.  Within 2 ulp of
+    ``np.power`` for 3 and -2 and within 4 ulp for -3; every other exponent
+    (2 among them) keeps ``**``.
+    """
+    if p == 3.0:
+        return x * x * x
+    if p == -2.0:
+        r = 1.0 / x
+        r *= r
+        return r
+    if p == -3.0:
+        r = 1.0 / x
+        return r * r * r
+    return x ** p
+
+
 def fourier_tables(h: np.ndarray, grid: int, out=None):
     """Tables ``C[k-1] = cos(k h)`` and ``S[k-1] = sin(k h)`` for
     ``k = 1..grid``, each of shape (grid, *h.shape).
@@ -225,7 +247,7 @@ class Tape:
                 elif op == "matmul":
                     val = v[a[0]] @ v[a[1]]
                 elif op == "pow":
-                    val = v[a[0]] ** node.aux
+                    val = _power(v[a[0]], node.aux)
                 elif op == "exp":
                     val = np.exp(v[a[0]])
                 elif op == "log":
@@ -323,7 +345,7 @@ class Tape:
                         accumulate(a[1], v[a[0]].T @ g)
                 elif op == "pow":
                     p = node.aux
-                    accumulate(a[0], g * p * v[a[0]] ** (p - 1.0))
+                    accumulate(a[0], g * p * _power(v[a[0]], p - 1.0))
                 elif op == "exp":
                     accumulate(a[0], g * v[idx])
                 elif op == "log":

@@ -16,12 +16,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device, evaluate, networks, training
+from .diffengine import _power
 from .networks import Checkpoint, FixedEdge, KanParams, NetworkSpec
 
 FIT_GRID_POINTS = 21
 FIT_LEVELS = 3
 FIT_RANGE = 10.0
 MAX_FIT_SAMPLES = 512
+# candidate rows scored at once: 64 x 512 samples is 256 KB.  With OpenBLAS
+# 0.3.31, blocks of a multiple of 8 rows give the matrix-vector product the
+# same rounding as one call over all candidates; 63 rows do not.
+SCORE_BLOCK = 64
 
 
 # ----------------------------------------------------------------------
@@ -49,11 +54,11 @@ _PRIMITIVES = {
     "x": (lambda x: x, lambda t, a: a, lambda u: u, None),
     "x^2": (lambda x: x**2, lambda t, a: t.pow(a, 2.0),
             lambda u: Pow(u, 2.0), None),
-    "x^3": (lambda x: x**3, lambda t, a: t.pow(a, 3.0),
+    "x^3": (lambda x: _power(x, 3.0), lambda t, a: t.pow(a, 3.0),
             lambda u: Pow(u, 3.0), None),
     "1/x": (lambda x: 1.0 / x, lambda t, a: t.pow(a, -1.0),
             lambda u: Pow(u, -1.0), None),
-    "1/x^2": (lambda x: x**-2.0, lambda t, a: t.pow(a, -2.0),
+    "1/x^2": (lambda x: _power(x, -2.0), lambda t, a: t.pow(a, -2.0),
               lambda u: Pow(u, -2.0), None),
     "exp": (np.exp, lambda t, a: t.exp(a), lambda u: Call("exp", u),
             lambda u: Call("exp", u)),
@@ -96,19 +101,29 @@ class EdgeFit(FixedEdge):
 # ----------------------------------------------------------------------
 
 def _score_grid(xs, ys, f: BasicFunction, a_vals, b_vals):
-    """Closed-form (c, d) and R^2 for every (a, b) candidate pair."""
+    """Closed-form (c, d) and R^2 for every (a, b) candidate pair.
+
+    Candidates are scored ``SCORE_BLOCK`` rows at a time, so the primitive's
+    (rows, samples) matrix stays cache-sized; each block is masked and
+    centered in place and reduced to its per-candidate sums."""
     aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
     aa, bb = aa.ravel(), bb.ravel()
-    with np.errstate(all="ignore"):
-        big = f.fn(aa[:, None] * xs[None, :] + bb[:, None])
-    valid = np.all(np.isfinite(big), axis=1)
-    big = np.where(valid[:, None], big, 0.0)     # silence dead candidates
     y_bar = ys.mean()
-    s_yy = float(np.sum((ys - y_bar) ** 2))
-    f_bar = big.mean(axis=1)
-    centered = big - f_bar[:, None]
-    s_ff = np.einsum("ij,ij->i", centered, centered)
-    s_fy = centered @ (ys - y_bar)
+    yc = ys - y_bar
+    s_yy = float(np.sum(yc ** 2))
+    valid = np.empty(aa.size, dtype=bool)
+    f_bar, s_ff, s_fy = np.empty((3, aa.size))
+    with np.errstate(all="ignore"):
+        for lo in range(0, aa.size, SCORE_BLOCK):
+            blk = slice(lo, lo + SCORE_BLOCK)
+            big = f.fn(aa[blk, None] * xs + bb[blk, None])
+            ok = np.all(np.isfinite(big), axis=1)
+            big[~ok] = 0.0                       # silence dead candidates
+            valid[blk] = ok
+            f_bar[blk] = big.mean(axis=1)
+            big -= f_bar[blk, None]
+            s_ff[blk] = np.einsum("ij,ij->i", big, big)
+            s_fy[blk] = big @ yc
     c = np.where((s_ff > 0) & valid, s_fy / np.where(s_ff > 0, s_ff, 1.0), 0.0)
     ss_res = s_yy - c * s_fy
     r2 = np.where(valid, 1.0 - ss_res / s_yy, -np.inf)
@@ -227,7 +242,8 @@ class Num(Expr):
         return self.value
 
     def render(self):
-        return f"{self.value:.4f}"
+        # shortest text that parses back to the same float
+        return repr(float(self.value))
 
     def to_dict(self):
         return {"op": "num", "value": self.value}
@@ -471,6 +487,13 @@ class SymbolicModel:
         return np.broadcast_to(out, np.broadcast(
             np.asarray(v_d), np.asarray(v_g)).shape).astype(float)
 
+    def nonfinite_points(self, dataset) -> int:
+        """Points of the dataset's 5 mV master grid where the formula is
+        inf or nan (a pole or a domain edge inside the bias box)."""
+        v_d, v_g = np.meshgrid(dataset.vd_axis, dataset.vg_axis, indexing="ij")
+        with np.errstate(all="ignore"):
+            return int(np.sum(~np.isfinite(self.eval(v_d, v_g))))
+
     def mape(self, dataset, split: str = "train") -> float:
         xy = dataset.train_inputs() if split == "train" else dataset.test_inputs()
         pred = self.eval(xy[:, 0], xy[:, 1])
@@ -569,12 +592,14 @@ def iterative_sr(ck: Checkpoint, dataset, k: int,
             "retrain_epochs": len(retrain_losses),
             "diverged": diverged,
         })
-    # re-read the affine parameters as retrained
+    # re-read the affine parameters as retrained; edges pinned in the
+    # checkpoint itself have no fit of their own
     final_fits = {}
     for (l, i, j) in all_edges:
-        fx = params.layers[l].fixed[(i, j)]
-        final_fits[(l, i, j)] = EdgeFit(fx.name, fx.a, fx.b, fx.c, fx.d,
-                                        fits[(l, i, j)].r2)
+        if (l, i, j) in fits:
+            fx = params.layers[l].fixed[(i, j)]
+            final_fits[(l, i, j)] = EdgeFit(fx.name, fx.a, fx.b, fx.c, fx.d,
+                                            fits[(l, i, j)].r2)
     model = _model_from_params(spec, params, target, final_fits)
     return model, rounds
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from kanc import cli, device, networks, training
+from kanc import cli, device, networks, symbolic, training
 
 
 def run(*argv) -> int:
@@ -195,6 +195,9 @@ class TestTrain:
         ("--epochs", "-5"),
         ("--family", "kan", "--epochs", "4"),      # five ladder stages
         ("--family", "kan", "--ladder", "2,4", "--epochs", "1"),
+        ("--family", "kan", "--arch", "nope"),
+        ("--family", "kan", "--arch", "mlp1"),
+        ("--family", "mlp", "--arch", "oracle"),
     ])
     def test_bad_flags_exit_2_before_writing(self, tmp_path, capsys, extra):
         out = tmp_path / "o"
@@ -361,6 +364,50 @@ class TestSymbolic:
                    "--out-dir", str(out)) == 0
         rounds = read(out / "rounds.csv").strip().split("\n")
         assert len(rounds) == 1 + 1
+
+    def test_formula_text_evaluates_as_written(self, tmp_path):
+        """formula.txt, read as a numpy expression, is the scored tree:
+        it matches the tree on the 20 mV test split within 1e-12."""
+        ck_path = trained_kan_checkpoint_file(tmp_path)
+        out = tmp_path / "sr"
+        assert run("symbolic", "--checkpoint", ck_path, "--mode", "posthoc",
+                   "--step", "20", "--out-dir", str(out)) == 0
+        text = read(out / "formula.txt").strip()
+        model, _ = symbolic.posthoc_sr(networks.load_checkpoint(ck_path),
+                                       device.generate_dataset(20))
+        assert text == model.text
+        xy = device.generate_dataset(20).test_inputs()
+        names = {"exp": np.exp, "log": np.log, "sin": np.sin, "cos": np.cos,
+                 "tan": np.tan, "tanh": np.tanh, "atan": np.arctan,
+                 "abs": np.abs, "sign": np.sign}
+        with np.errstate(all="ignore"):
+            written = eval(text.replace("^", "**"),
+                           {**names, "V_D": xy[:, 0], "V_G": xy[:, 1]})
+        assert_allclose(written, model.eval(xy[:, 0], xy[:, 1]),
+                        rtol=1e-12, atol=0)
+        assert json.loads(read(out / "formula.json"))["nonfinite_points"] == 0
+
+    def test_pole_inside_the_box_is_reported(self, tmp_path, capsys):
+        """An edge pinned to 1/x with its pole at V_D = 0.5 V makes the
+        formula infinite on that master-grid row: formula.json counts the
+        points, stderr says so in one line, and the exit code stays 0."""
+        spec = networks.NetworkSpec("kan", (2, 1), "charge-scale", grid=4)
+        params = networks.init_params(spec, seed=0, grid_size=4)
+        slope = 1.0 / device.V_MAX    # the tree's slope on raw volts
+        params = symbolic.fix_edge(params, (0, 0, 0), symbolic.EdgeFit(
+            "1/x", 1.0, -0.5 * slope, 1.0, 0.0, 1.0))
+        path = tmp_path / "pole.txt"
+        networks.save_checkpoint(networks.Checkpoint(
+            spec, params, {"target": "Q_S", "seed": 0, "step_mv": 50}), path)
+        out = tmp_path / "sr"
+        assert run("symbolic", "--checkpoint", str(path), "--mode", "posthoc",
+                   "--out-dir", str(out)) == 0
+        n_axis = device.generate_dataset(50).vg_axis.size
+        blob = json.loads(read(out / "formula.json"))
+        assert blob["nonfinite_points"] == n_axis
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"not finite at {n_axis} points" in err
 
     @pytest.mark.parametrize("extra", [
         ("--retrain-epochs", "-5"),

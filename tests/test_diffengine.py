@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from numpy.testing import assert_allclose, assert_array_equal
 
 from kanc import diffengine, splines
 from kanc.diffengine import (EvaluationError, Tape, fourier_sum,
@@ -315,6 +318,68 @@ class TestGradCheck:
         tape.sum(tape.tanh(tape.matmul(a, b)))
         leaves = {"a": rng.normal(size=(3, 4)), "b": rng.normal(size=(4, 2))}
         assert grad_check(tape, leaves, step=1e-6) < 1e-5
+
+
+def ulp_distance(a, b):
+    """Number of doubles between ``a`` and ``b`` (0 for +0 and -0)."""
+    ia, ib = (np.asarray(v, dtype=float).view(np.int64) for v in (a, b))
+    low = np.int64(-2**63)
+    ka, kb = (np.where(i < 0, low - i, i) for i in (ia, ib))
+    return np.abs(ka - kb)
+
+
+class TestSmallIntegerPower:
+    """``_power`` replaces libm ``pow`` by products for the exponents 3, -2
+    and -3; every other exponent stays ``**``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(np.float64, st.integers(1, 64),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)),
+           st.sampled_from([(3.0, 2), (-2.0, 2), (-3.0, 4)]))
+    def test_matches_numpy_power_in_ulps(self, x, case):
+        """Two roundings for 3 and -2, four for -3 (reciprocal, then two
+        products), against a correctly rounded or near-correctly rounded
+        ``pow``; overflow to inf and underflow to zero fall where np.power's
+        do."""
+        p, ulps = case
+        with np.errstate(all="ignore"):
+            got, want = diffengine._power(x, p), np.power(x, p)
+        assert ulp_distance(got, want).max() <= ulps
+
+    @pytest.mark.parametrize("p", [3.0, -2.0, -3.0])
+    def test_special_values_follow_numpy(self, p):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                      1.7976931348623157e308, -1.7976931348623157e308])
+        with np.errstate(all="ignore"):
+            got, want = diffengine._power(x, p), np.power(x, p)
+        assert_array_equal(got, want)
+        assert_array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("p, x", [
+        (-2.0, 1e155),     # x*x overflows; x^-2 is a subnormal
+        (-3.0, -1e103),    # x*x*x overflows; x^-3 is a subnormal
+    ])
+    def test_negative_powers_avoid_intermediate_overflow(self, p, x):
+        want = np.power(x, p)
+        assert want != 0.0 and np.isfinite(want)
+        assert ulp_distance(diffengine._power(np.array([x]), p), want) <= 4
+
+    @pytest.mark.parametrize("p", [2.0, 0.5, -1.0, 1.5])
+    def test_other_exponents_keep_numpy_power(self, p):
+        x = np.random.default_rng(3).uniform(-3.0, 3.0, size=50)
+        with np.errstate(all="ignore"):
+            assert_array_equal(diffengine._power(x, p), x ** p)
+
+    @pytest.mark.parametrize("p", [3.0, -1.0, -2.0])
+    def test_pow_gradcheck(self, p):
+        """The rules for 3, -1 and -2 take their derivative powers (2, -2 and
+        -3) from ``_power``."""
+        rng = np.random.default_rng(17)
+        xs = rng.uniform(0.5, 2.0, size=6) * np.array([1, -1, 1, -1, 1, -1])
+        tape = Tape()
+        x = tape.leaf("x", (6,))
+        tape.sum(tape.mul(tape.pow(x, p), tape.const(rng.normal(size=6))))
+        assert grad_check(tape, {"x": xs}, step=1e-6) < 1e-6
 
 
 class TestDeterminism:

@@ -5,6 +5,8 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kanc import device, networks, symbolic, training
@@ -97,6 +99,66 @@ class TestFitBasic:
             fit_basic(np.zeros(10), np.zeros(9), LIBRARY_BY_NAME["x"])
 
 
+def reference_scores(xs, ys, f, a_vals, b_vals):
+    """R^2 of every (a, b) candidate from one unblocked pass over the whole
+    (candidates, samples) matrix, in meshgrid order."""
+    aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
+    aa, bb = aa.ravel(), bb.ravel()
+    with np.errstate(all="ignore"):
+        big = f.fn(aa[:, None] * xs[None, :] + bb[:, None])
+        valid = np.all(np.isfinite(big), axis=1)
+        big = np.where(valid[:, None], big, 0.0)
+        centered = big - big.mean(axis=1, keepdims=True)
+        yc = ys - ys.mean()
+        s_ff = np.sum(centered * centered, axis=1)
+        s_fy = centered @ yc
+        r2 = np.where(valid & (s_ff > 0), s_fy**2 / s_ff / np.sum(yc**2), 0.0)
+    return aa, bb, np.where(valid & np.isfinite(r2), r2, -np.inf)
+
+
+class TestScoreGrid:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(LIBRARY), st.integers(8, 512),
+           st.integers(0, 2**32 - 1), st.floats(-10.0, 10.0),
+           st.floats(-10.0, 10.0), st.sampled_from([10.0, 1.0, 0.1]))
+    def test_blocked_scoring_matches_one_pass(self, f, n, seed, a0, b0, half):
+        """The blocked scorer picks a best candidate of the unblocked
+        reference: its R^2 and the reference R^2 of the (a, b) it chose are
+        both within 1e-12 of the reference best."""
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-1.0, 1.0, n)
+        ys = rng.normal(size=n)
+        a_vals = np.linspace(a0 - half, a0 + half, symbolic.FIT_GRID_POINTS)
+        b_vals = np.linspace(b0 - half, b0 + half, symbolic.FIT_GRID_POINTS)
+        a, b, c, d, r2 = symbolic._score_grid(xs, ys, f, a_vals, b_vals)
+        aa, bb, ref = reference_scores(xs, ys, f, a_vals, b_vals)
+        best = ref.max()
+        if best == -np.inf:        # every candidate dead: nothing to choose
+            assert r2 == -np.inf
+            return
+        assert abs(r2 - best) <= 1e-12
+        chosen = np.flatnonzero((aa == a) & (bb == b))
+        assert chosen.size == 1
+        assert abs(ref[chosen[0]] - best) <= 1e-12
+
+    def test_no_primitive_call_exceeds_a_block(self):
+        """A 512-sample fit evaluates its primitive on at most SCORE_BLOCK
+        candidate rows at a time, and on all 441 candidates per level."""
+        shapes = []
+
+        def recording_sin(x):
+            shapes.append(x.shape)
+            return np.sin(x)
+
+        xs = np.linspace(-1.0, 1.0, 512)
+        ys = np.sin(2.0 * xs + 0.3)
+        fit_basic(xs, ys, symbolic.BasicFunction("sin", recording_sin, None))
+        assert max(rows for rows, _ in shapes) <= symbolic.SCORE_BLOCK
+        assert {cols for _, cols in shapes} == {512}
+        assert sum(rows for rows, _ in shapes) == (
+            symbolic.FIT_LEVELS * symbolic.FIT_GRID_POINTS**2)
+
+
 class TestSuggest:
     def test_exact_generator_ranks_first(self):
         xs = np.linspace(0.0, 1.0, 200)
@@ -174,11 +236,27 @@ class TestExpressions:
         env = {"V_G": np.array([0.1, 0.7])}
         assert_allclose(expr.eval(env), 2.0 * np.sin(env["V_G"]) + 0.5,
                         rtol=1e-15)
-        assert expr.render() == "2.0000*sin(V_G) + 0.5000"
+        assert expr.render() == "2.0*sin(V_G) + 0.5"
+
+    def test_rendered_text_evaluates_to_the_tree(self):
+        """Constants render as the shortest text that parses back to the
+        same float, so the text as written is the formula that is scored."""
+        expr = Add((
+            Mul((Num(-0.0026000000000000003), Pow(Var("V_D"), -2.0))),
+            Mul((Num(0.1 + 0.2), Call("atan", Add((Mul((Num(1e-20),
+                                                        Var("V_G"))),
+                                                   Num(-7.5)))))),
+            Pow(Add((Var("V_G"), Num(1.0 / 3.0))), 3.0),
+            Num(-123456.78901234567)))
+        env = {"V_D": np.array([0.1, 0.45, 0.82]),
+               "V_G": np.array([0.0, 0.3, 0.8])}
+        text = expr.render()
+        got = eval(text.replace("^", "**"), {"atan": np.arctan, **env})
+        assert np.array_equal(got, expr.eval(env))
 
     def test_product_of_sum_is_parenthesized(self):
         expr = Mul((Add((Var("V_D"), Num(1.0))), Var("V_G")))
-        assert expr.render() == "(V_D + 1.0000)*V_G"
+        assert expr.render() == "(V_D + 1.0)*V_G"
 
     def test_power_rendering(self):
         assert Pow(Var("V_D"), 2.0).render() == "V_D^2"
