@@ -70,7 +70,8 @@ def write_manifest(path, command: str, config: dict, seed,
         "outputs": sorted(str(o) for o in outputs),
     }
     with open(path, "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 def _write_rows(path, header: str, rows: list) -> None:
@@ -80,6 +81,10 @@ def _write_rows(path, header: str, rows: list) -> None:
 
 def _fmt(x) -> str:
     return "" if x is None else "%.17g" % x
+
+
+def _finite_or_none(x):
+    return x if x is not None and math.isfinite(x) else None
 
 
 # ----------------------------------------------------------------------
@@ -324,13 +329,16 @@ def cmd_symbolic(args) -> int:
     if nonfinite:
         print(f"warning: the formula is not finite at {nonfinite} points of "
               f"the {device.MASTER_STEP_MV} mV master grid", file=sys.stderr)
+    # strict JSON: a non-finite error (like a non-finite constant of the
+    # tree) is written as null, beside the count of non-finite points
     blob = {"target": model.target, "text": model.text,
             "tree": model.tree.to_dict(),
-            "train_mape": model.mape(dataset, "train"),
-            "test_mape": test_mape,
+            "train_mape": _finite_or_none(model.mape(dataset, "train")),
+            "test_mape": _finite_or_none(test_mape),
             "nonfinite_points": nonfinite}
     with open(os.path.join(args.out_dir, "formula.json"), "w") as fh:
-        fh.write(json.dumps(blob, indent=2, sort_keys=True) + "\n")
+        fh.write(json.dumps(blob, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
     table = []
     for r in rounds:
         edges = ";".join(f"{l}:{i}:{j}={name}"

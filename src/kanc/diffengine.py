@@ -12,8 +12,9 @@ after that, and the backward pass sends no adjoint into them.
 A Fourier edge layer is one ``fourier`` node.  Its tables of ``cos(k h)``
 and ``sin(k h)`` come from :func:`fourier_tables`, which takes a single
 ``np.cos``/``np.sin`` pair of ``h`` and builds the higher frequencies by
-angle addition.  A ``spline`` node works on the ``order + 1`` local basis
-rows of :func:`splines._local_basis` and builds no dense basis matrix.
+angle addition.  A spline edge layer is one ``kan_layer`` node.  It works
+on the ``order + 1`` local basis rows of :func:`splines._local_basis`, one
+kernel call per input column, and builds no dense basis matrix.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ class Node:
         self.op = op
         self.args = args
         self.aux = aux
-
-    def __repr__(self):
-        return f"Node({self.op}, args={self.args})"
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -118,6 +116,7 @@ class Tape:
         self._fixed: list[bool] = []   # node depends on no leaf
         self._folded: dict = {}        # values of fixed nodes, kept across passes
         self._basis_cache: dict = {}
+        self._spline_parts: dict = {}  # kan_layer node -> per-edge spline values
         self._trig_cache: dict = {}
         self._table_buffers: dict = {}  # Fourier tables refilled each pass
 
@@ -176,16 +175,23 @@ class Tape:
     def atan(self, a):
         return self._push(Node("atan", (a,)))
 
-    def silu(self, a):
-        return self._push(Node("silu", (a,)))
-
     def absval(self, a):
         return self._push(Node("abs", (a,)))
 
-    def spline(self, x, coeffs, kv: splines.KnotVector):
-        """Spline combination ``sum_i c_i B_i(x)``, differentiable in both
-        the coefficients and the input."""
-        return self._push(Node("spline", (x, coeffs), kv))
+    def kan_layer(self, h, coeffs, w_b, w_s, bias, kv: splines.KnotVector,
+                  pinned: dict):
+        """Spline edge layer on an (N, n_in) input ``h``: output column j is
+        ``bias[j]`` plus, over i, ``w_b[i, j] silu(h_i) + w_s[i, j] sum_m
+        coeffs[i, j, m] B_m(h_i)`` on the knots ``kv``.  ``pinned`` maps an
+        edge (i, j) to the (N,) node that replaces its curve; the pinned
+        edges' entries of ``coeffs``, ``w_b`` and ``w_s`` get zero adjoint.
+        Differentiable in ``h``, the four arrays and the pinned nodes."""
+        return self._push(Node("kan_layer", (h, coeffs, w_b, w_s, bias,
+                                             *pinned.values()), (kv, dict(pinned))))
+
+    def column(self, h, i: int):
+        """Column ``i`` of a 2-D node, as an (N,) node."""
+        return self._push(Node("column", (h,), int(i)))
 
     def fourier(self, h, cos_w, sin_w):
         """Fourier edge layer (see :func:`fourier_sum`) on an (N, n_in)
@@ -193,8 +199,8 @@ class Tape:
         three."""
         return self._push(Node("fourier", (h, cos_w, sin_w)))
 
-    def sum(self, a, axis=None):
-        return self._push(Node("sum", (a,), axis))
+    def sum(self, a):
+        return self._push(Node("sum", (a,)))
 
     def mean(self, a):
         s = self.sum(a)
@@ -264,15 +270,14 @@ class Tape:
                     val = np.tanh(v[a[0]])
                 elif op == "atan":
                     val = np.arctan(v[a[0]])
-                elif op == "silu":
-                    val = splines.silu(v[a[0]])
                 elif op == "abs":
                     val = np.abs(v[a[0]])
-                elif op == "spline":
-                    first, vals, _ = self._local_basis(node, v[a[0]])
-                    val = splines._combine(first, vals, v[a[1]])
+                elif op == "kan_layer":
+                    val = self._kan_layer(idx, node)
+                elif op == "column":
+                    val = v[a[0]][:, node.aux]
                 elif op == "sum":
-                    val = np.sum(v[a[0]], axis=node.aux)
+                    val = np.sum(v[a[0]])
                 elif op == "scale":
                     val = v[a[0]] / self.values_size(node.aux)
                 elif op == "reshape":
@@ -375,24 +380,19 @@ class Tape:
                     accumulate(a[0], g * (1.0 - v[idx] ** 2))
                 elif op == "atan":
                     accumulate(a[0], g / (1.0 + v[a[0]] ** 2))
-                elif op == "silu":
-                    accumulate(a[0], g * splines.silu_deriv(v[a[0]]))
                 elif op == "abs":
                     accumulate(a[0], g * np.sign(v[a[0]]))
-                elif op == "spline":
-                    first, vals, derivs = self._local_basis(node, v[a[0]])
-                    if live[a[1]]:  # coefficient first + m sums vals[m] * g
-                        slots = first.ravel() + np.arange(len(vals))[:, None]
-                        accumulate(a[1], np.bincount(slots.ravel(), (vals * g).ravel(),
-                                                     v[a[1]].size))
-                    if live[a[0]]:
-                        accumulate(a[0], g * splines._combine(first, derivs, v[a[1]]))
+                elif op == "kan_layer":
+                    for arg, adjoint in zip(a, self._kan_layer_adjoints(
+                            idx, node, g, live[a[0]])):
+                        if adjoint is not None:
+                            accumulate(arg, adjoint)
+                elif op == "column":
+                    dh = np.zeros(np.shape(v[a[0]]))
+                    dh[:, node.aux] = g
+                    accumulate(a[0], dh)
                 elif op == "sum":
-                    axis = node.aux
-                    if axis is None:
-                        accumulate(a[0], np.broadcast_to(g, np.asarray(v[a[0]]).shape))
-                    else:
-                        accumulate(a[0], np.expand_dims(g, axis))
+                    accumulate(a[0], np.broadcast_to(g, np.asarray(v[a[0]]).shape))
                 elif op == "scale":
                     accumulate(a[0], g / self.values_size(node.aux))
                 elif op == "reshape":
@@ -436,15 +436,65 @@ class Tape:
                 self._table_buffers[key] = tables
         return tables
 
-    def _local_basis(self, node: Node, x_val):
-        # one local basis per (input, knots) per pass, shared by its splines
-        kv = node.aux
-        key = (node.args[0], kv.key())
+    def _column_basis(self, arg_idx, i, kv):
+        # One local basis and silu per (input column, knots) per pass, shared
+        # by the column's edges and reused by the backward sweep; kept across
+        # passes when the input is fixed.
+        key = (arg_idx, i, kv.key())
         local = self._basis_cache.get(key)
         if local is None:
-            local = splines._local_basis(kv, x_val)
+            x = np.ascontiguousarray(self.values[arg_idx][:, i])
+            local = splines._local_basis(kv, x) + (splines.silu(x),)
             self._basis_cache[key] = local
         return local
+
+    def _kan_layer(self, idx, node):
+        v, a = self.values, node.args
+        coeffs, w_b, w_s, bias = v[a[1]], v[a[2]], v[a[3]], v[a[4]]
+        kv, pinned = node.aux
+        out = np.empty((v[a[0]].shape[0], w_b.shape[1]))
+        parts = self._spline_parts[idx] = {}
+        for j in range(w_b.shape[1]):
+            col = None
+            for i in range(w_b.shape[0]):
+                if (i, j) in pinned:
+                    edge = v[pinned[i, j]]
+                else:
+                    first, vals, _, silu = self._column_basis(a[0], i, kv)
+                    part = parts[i, j] = splines._combine(first, vals, coeffs[i, j])
+                    edge = silu * w_b[i, j] + part * w_s[i, j]
+                col = edge if col is None else col + edge
+            out[:, j] = col + bias[j]
+        return out
+
+    def _kan_layer_adjoints(self, idx, node, g, want_h):
+        """Adjoints of a ``kan_layer`` node's arguments, in argument order;
+        ``None`` for the input when ``want_h`` is false."""
+        v, a = self.values, node.args
+        h, coeffs, w_b, w_s = v[a[0]], v[a[1]], v[a[2]], v[a[3]]
+        kv, pinned = node.aux
+        g_cols = np.ascontiguousarray(g.T)
+        d_coeffs, d_wb, d_ws = (np.zeros(x.shape) for x in (coeffs, w_b, w_s))
+        d_h = np.zeros(h.shape) if want_h else None
+        silu_adj = {}   # input column i -> sum over j of g_j w_b[i, j]
+        # last j first, the order in which a tape of per-edge nodes sums them
+        for (i, j), part in reversed(self._spline_parts[idx].items()):
+            first, vals, derivs, silu = self._column_basis(a[0], i, kv)
+            gj = g_cols[j]
+            d_wb[i, j] = np.sum(gj * silu)
+            d_ws[i, j] = np.sum(gj * part)
+            gs = gj * w_s[i, j]
+            # coefficient first + m sums vals[m] * gs
+            slots = first + np.arange(len(vals))[:, None]
+            d_coeffs[i, j] = np.bincount(slots.ravel(), (vals * gs).ravel(),
+                                         kv.n_basis)
+            if want_h:
+                d_h[:, i] += gs * splines._combine(first, derivs, coeffs[i, j])
+                silu_adj[i] = silu_adj.get(i, 0.0) + gj * w_b[i, j]
+        for i, adj in silu_adj.items():
+            d_h[:, i] += adj * splines.silu_deriv(h[:, i])
+        return ([d_h, d_coeffs, d_wb, d_ws, g_cols.sum(axis=1)]
+                + [g_cols[j] for _, j in pinned])
 
 
 def grad_check(tape: Tape, leaf_values: dict, step: float = 1e-6) -> float:

@@ -8,8 +8,10 @@ The spline network follows the sum-of-edge-functions construction: every
 edge carries its own learnable curve ``w_b silu(x) + w_s sum_i c_i B_i(x)``
 and every node adds its incoming edges plus a bias.  Edges can later be
 pinned to a closed-form primitive (see :mod:`kanc.symbolic`); pinned edges
-keep their affine wrapper trainable while the spline coefficients drop out
-of the trainable set.
+keep their affine wrapper trainable; their spline coefficients get no
+gradient.  Parameter arrays are named once, by checkpoint name, in
+:func:`_param_table` (tape leaves, leaf values, checkpoints); on the tape a
+spline layer is one ``kan_layer`` node over its four arrays.
 """
 
 from __future__ import annotations
@@ -323,99 +325,76 @@ def net_forward(spec: NetworkSpec, params, x):
 # tape builders
 # ----------------------------------------------------------------------
 
-def leaf_spec(spec: NetworkSpec, params) -> list:
-    """Ordered (name, shape) pairs for every trainable leaf.
+def _param_table(spec: NetworkSpec) -> list:
+    """Per layer, the ``(checkpoint name, attribute, shape)`` of each
+    parameter array, in checkpoint and leaf order.
 
-    Pinned spline edges contribute their four affine numbers instead of the
-    coefficient vector and blend weights.
+    Dense networks hold each kind of array in a per-layer list on the
+    container, the edge families on their layers.  The shapes are the
+    ones the spec implies (spline coefficients at the spec's final grid).
     """
-    out = []
+    table = []
+    for l, (n_in, n_out) in enumerate(zip(spec.widths[:-1], spec.widths[1:])):
+        if spec.kind == "mlp":
+            rows = (("W", "weights", (n_in, n_out)), ("b", "biases", (n_out,)))
+        elif spec.kind == "kan":
+            n_basis = spec.grid + spec.spline_order
+            rows = (("coeffs", "coeffs", (n_in, n_out, n_basis)),
+                    ("w_b", "w_b", (n_in, n_out)), ("w_s", "w_s", (n_in, n_out)),
+                    ("bias", "bias", (n_out,)))
+        else:
+            fourier = (n_out, n_in, spec.fkan_grids[l])
+            rows = (("cos", "cos_coef", fourier), ("sin", "sin_coef", fourier),
+                    ("bias", "bias", (n_out,)))
+        table.append([(f"L{l}.{key}", attr, shape) for key, attr, shape in rows])
+    return table
+
+
+def _layer_arrays(spec: NetworkSpec, params, l: int) -> list:
+    """``(checkpoint name, array)`` of layer ``l``'s parameter arrays."""
     if spec.kind == "mlp":
-        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-            out.append((f"L{l}.W", w.shape))
-            out.append((f"L{l}.b", b.shape))
-    elif spec.kind == "kan":
-        for l, layer in enumerate(params.layers):
-            for i in range(layer.n_in):
-                for j in range(layer.n_out):
-                    if (i, j) in layer.fixed:
-                        for p in ("a", "b", "c", "d"):
-                            out.append((f"L{l}.fix{p}.{i}.{j}", ()))
-                    else:
-                        out.append((f"L{l}.c.{i}.{j}", (layer.knots.n_basis,)))
-                        out.append((f"L{l}.wb.{i}.{j}", ()))
-                        out.append((f"L{l}.ws.{i}.{j}", ()))
-            out.append((f"L{l}.bias", layer.bias.shape))
-    elif spec.kind == "fkan":
-        for l, layer in enumerate(params.layers):
-            out.append((f"L{l}.cos", layer.cos_coef.shape))
-            out.append((f"L{l}.sin", layer.sin_coef.shape))
-            out.append((f"L{l}.bias", layer.bias.shape))
-    else:
-        raise ValueError(f"kind {spec.kind!r} has no trainable leaves")
-    return out
+        return [(name, getattr(params, attr)[l])
+                for name, attr, _ in _param_table(spec)[l]]
+    return [(name, getattr(params.layers[l], attr))
+            for name, attr, _ in _param_table(spec)[l]]
+
+
+def _fix_names(l: int, i: int, j: int) -> list:
+    """Leaf names of a pinned edge's affine numbers a, b, c and d."""
+    return [f"L{l}.fix{p}.{i}.{j}" for p in "abcd"]
 
 
 def leaf_values(spec: NetworkSpec, params) -> dict:
-    """Current parameter values keyed like :func:`leaf_spec`."""
+    """Every trainable array by checkpoint name, then, for a spline network,
+    the four affine numbers of each pinned edge.  The arrays are the
+    container's own, not copies."""
     vals = {}
-    if spec.kind == "mlp":
-        for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-            vals[f"L{l}.W"] = w
-            vals[f"L{l}.b"] = b
-    elif spec.kind == "kan":
+    for l in range(spec.n_layers):   # none for the oracle
+        vals.update(_layer_arrays(spec, params, l))
+    if spec.kind == "kan":
         for l, layer in enumerate(params.layers):
-            for i in range(layer.n_in):
-                for j in range(layer.n_out):
-                    fx = layer.fixed.get((i, j))
-                    if fx is not None:
-                        vals[f"L{l}.fixa.{i}.{j}"] = np.asarray(fx.a)
-                        vals[f"L{l}.fixb.{i}.{j}"] = np.asarray(fx.b)
-                        vals[f"L{l}.fixc.{i}.{j}"] = np.asarray(fx.c)
-                        vals[f"L{l}.fixd.{i}.{j}"] = np.asarray(fx.d)
-                    else:
-                        vals[f"L{l}.c.{i}.{j}"] = layer.coeffs[i, j]
-                        vals[f"L{l}.wb.{i}.{j}"] = np.asarray(layer.w_b[i, j])
-                        vals[f"L{l}.ws.{i}.{j}"] = np.asarray(layer.w_s[i, j])
-            vals[f"L{l}.bias"] = layer.bias
-    elif spec.kind == "fkan":
-        for l, layer in enumerate(params.layers):
-            vals[f"L{l}.cos"] = layer.cos_coef
-            vals[f"L{l}.sin"] = layer.sin_coef
-            vals[f"L{l}.bias"] = layer.bias
+            for (i, j), fx in sorted(layer.fixed.items()):
+                for name, p in zip(_fix_names(l, i, j), (fx.a, fx.b, fx.c, fx.d)):
+                    vals[name] = np.asarray(p)
     return vals
 
 
+def leaf_spec(spec: NetworkSpec, params) -> list:
+    """Ordered (name, shape) pairs for every trainable leaf, keyed like
+    :func:`leaf_values`."""
+    return [(name, np.shape(v)) for name, v in leaf_values(spec, params).items()]
+
+
 def set_leaf_values(spec: NetworkSpec, params, vals: dict):
-    """Write leaf values back into the parameter container (in place)."""
-    if spec.kind == "mlp":
-        for l in range(len(params.weights)):
-            params.weights[l] = np.asarray(vals[f"L{l}.W"], dtype=float)
-            params.biases[l] = np.asarray(vals[f"L{l}.b"], dtype=float)
-    elif spec.kind == "kan":
+    """Write leaf values back into the parameter container, in place."""
+    for l in range(spec.n_layers):
+        for name, arr in _layer_arrays(spec, params, l):
+            arr[...] = vals[name]
+    if spec.kind == "kan":
         for l, layer in enumerate(params.layers):
-            for i in range(layer.n_in):
-                for j in range(layer.n_out):
-                    if (i, j) in layer.fixed:
-                        layer.fixed[(i, j)] = FixedEdge(
-                            layer.fixed[(i, j)].name,
-                            float(vals[f"L{l}.fixa.{i}.{j}"]),
-                            float(vals[f"L{l}.fixb.{i}.{j}"]),
-                            float(vals[f"L{l}.fixc.{i}.{j}"]),
-                            float(vals[f"L{l}.fixd.{i}.{j}"]),
-                        )
-                    else:
-                        layer.coeffs[i, j] = np.asarray(vals[f"L{l}.c.{i}.{j}"])
-                        layer.w_b[i, j] = float(vals[f"L{l}.wb.{i}.{j}"])
-                        layer.w_s[i, j] = float(vals[f"L{l}.ws.{i}.{j}"])
-            layer.bias = np.asarray(vals[f"L{l}.bias"], dtype=float)
-    elif spec.kind == "fkan":
-        for l, layer in enumerate(params.layers):
-            layer.cos_coef = np.asarray(vals[f"L{l}.cos"], dtype=float)
-            layer.sin_coef = np.asarray(vals[f"L{l}.sin"], dtype=float)
-            layer.bias = np.asarray(vals[f"L{l}.bias"], dtype=float)
-    else:
-        raise ValueError(f"kind {spec.kind!r} has no trainable leaves")
+            for (i, j), fx in layer.fixed.items():
+                layer.fixed[(i, j)] = FixedEdge(
+                    fx.name, *(float(vals[n]) for n in _fix_names(l, i, j)))
     return params
 
 
@@ -426,6 +405,8 @@ def build_forward_tape(tape: Tape, spec: NetworkSpec, params, x_const: np.ndarra
     Returns the index of the (N,) output node.  ``leaves`` maps leaf name to
     node index and is filled in; pass a dict to share leaves across calls.
     """
+    if spec.kind not in ("mlp", "kan", "fkan"):
+        raise ValueError(f"no tape builder for kind {spec.kind!r}")
     if leaves is None:
         leaves = {}
 
@@ -434,65 +415,30 @@ def build_forward_tape(tape: Tape, spec: NetworkSpec, params, x_const: np.ndarra
             leaves[name] = tape.leaf(name, shape)
         return leaves[name]
 
-    n = x_const.shape[0]
-    if spec.kind == "mlp":
-        h = tape.const(x_const)
-        last = len(params.weights) - 1
-        for l in range(len(params.weights)):
-            w = get_leaf(f"L{l}.W", params.weights[l].shape)
-            b = get_leaf(f"L{l}.b", params.biases[l].shape)
-            h = tape.add(tape.matmul(h, w), b)
-            if l < last:
+    h = tape.const(x_const)
+    for l in range(spec.n_layers):
+        arrays = [get_leaf(name, arr.shape)
+                  for name, arr in _layer_arrays(spec, params, l)]
+        if spec.kind == "mlp":
+            h = tape.add(tape.matmul(h, arrays[0]), arrays[1])
+            if l < spec.n_layers - 1:
                 h = tape.tanh(h)
-        return tape.reshape(h, (n,))
+        elif spec.kind == "fkan":
+            h = tape.add(tape.fourier(h, arrays[0], arrays[1]), arrays[2])
+        else:
+            from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
 
-    if spec.kind == "kan":
-        from .symbolic import LIBRARY_BY_NAME
-
-        cols = [tape.const(x_const[:, i]) for i in range(x_const.shape[1])]
-        for l, layer in enumerate(params.layers):
-            sums = [None] * layer.n_out
-            silu_cols = [tape.silu(c) for c in cols]
-            for i in range(layer.n_in):
-                for j in range(layer.n_out):
-                    fx = layer.fixed.get((i, j))
-                    if fx is not None:
-                        a = get_leaf(f"L{l}.fixa.{i}.{j}", ())
-                        b = get_leaf(f"L{l}.fixb.{i}.{j}", ())
-                        c = get_leaf(f"L{l}.fixc.{i}.{j}", ())
-                        d = get_leaf(f"L{l}.fixd.{i}.{j}", ())
-                        inner = tape.add(tape.mul(cols[i], a), b)
-                        body = LIBRARY_BY_NAME[fx.name].tape_builder(tape, inner)
-                        edge = tape.add(tape.mul(body, c), d)
-                    else:
-                        coef = get_leaf(f"L{l}.c.{i}.{j}", (layer.knots.n_basis,))
-                        wb = get_leaf(f"L{l}.wb.{i}.{j}", ())
-                        ws = get_leaf(f"L{l}.ws.{i}.{j}", ())
-                        spline_part = tape.spline(cols[i], coef, layer.knots)
-                        edge = tape.add(tape.mul(silu_cols[i], wb),
-                                        tape.mul(spline_part, ws))
-                    sums[j] = edge if sums[j] is None else tape.add(sums[j], edge)
-            bias = get_leaf(f"L{l}.bias", layer.bias.shape)
-            # bias add per node: pick out entry j with a constant one-hot so
-            # the running columns stay 1-D
-            cols = []
-            for j in range(layer.n_out):
-                onehot = np.zeros(layer.n_out)
-                onehot[j] = 1.0
-                bj = tape.sum(tape.mul(bias, tape.const(onehot)))
-                cols.append(tape.add(sums[j], bj))
-        return cols[0]
-
-    if spec.kind == "fkan":
-        h = tape.const(x_const)
-        for l, layer in enumerate(params.layers):
-            cos_w = get_leaf(f"L{l}.cos", layer.cos_coef.shape)
-            sin_w = get_leaf(f"L{l}.sin", layer.sin_coef.shape)
-            bias = get_leaf(f"L{l}.bias", layer.bias.shape)
-            h = tape.add(tape.fourier(h, cos_w, sin_w), bias)
-        return tape.reshape(h, (n,))
-
-    raise ValueError(f"no tape builder for kind {spec.kind!r}")
+            layer = params.layers[l]
+            cols, pinned = {}, {}
+            for (i, j), fx in sorted(layer.fixed.items()):
+                if i not in cols:
+                    cols[i] = tape.column(h, i)
+                a, b, c, d = (get_leaf(n, ()) for n in _fix_names(l, i, j))
+                inner = tape.add(tape.mul(cols[i], a), b)
+                body = LIBRARY_BY_NAME[fx.name].tape_builder(tape, inner)
+                pinned[i, j] = tape.add(tape.mul(body, c), d)
+            h = tape.kan_layer(h, *arrays, layer.knots, pinned)
+    return tape.reshape(h, (x_const.shape[0],))
 
 
 # ----------------------------------------------------------------------
@@ -573,38 +519,28 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         if isinstance(value, np.generic):   # np.float64(0.5) is written 0.5
             value = value.item()
         lines.append(f"meta {key} {value!r}")
-    p = ck.params
-    if spec.kind == "mlp":
-        for l, (w, b) in enumerate(zip(p.weights, p.biases)):
-            _write_array(lines, f"L{l}.W", w)
-            _write_array(lines, f"L{l}.b", b)
-    elif spec.kind == "kan":
-        for l, layer in enumerate(p.layers):
-            _write_array(lines, f"L{l}.coeffs", layer.coeffs)
-            _write_array(lines, f"L{l}.w_b", layer.w_b)
-            _write_array(lines, f"L{l}.w_s", layer.w_s)
-            _write_array(lines, f"L{l}.bias", layer.bias)
-            if layer.knots.interior is not None:
-                _write_array(lines, f"L{l}.knots",
-                             np.asarray(layer.knots.interior))
-        for l, layer in enumerate(p.layers):
+    for l in range(spec.n_layers):
+        for name, arr in _layer_arrays(spec, ck.params, l):
+            _write_array(lines, name, arr)
+        if spec.kind == "kan" and ck.params.layers[l].knots.interior is not None:
+            _write_array(lines, f"L{l}.knots",
+                         np.asarray(ck.params.layers[l].knots.interior))
+    if spec.kind == "kan":
+        for l, layer in enumerate(ck.params.layers):
             for (i, j) in sorted(layer.fixed):
                 fx = layer.fixed[(i, j)]
                 lines.append(
                     f"fixed {l} {i} {j} {fx.name} "
                     f"{_fmt(fx.a)} {_fmt(fx.b)} {_fmt(fx.c)} {_fmt(fx.d)}"
                 )
-    elif spec.kind == "fkan":
-        for l, layer in enumerate(p.layers):
-            _write_array(lines, f"L{l}.cos", layer.cos_coef)
-            _write_array(lines, f"L{l}.sin", layer.sin_coef)
-            _write_array(lines, f"L{l}.bias", layer.bias)
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 _NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
+_HEADER_KEYS = ("kind", "conversion", "widths", "activation", "spline_order",
+                "grid", "grids")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -622,7 +558,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise
     except KeyError as exc:
         raise CheckpointError(f"checkpoint has no {exc.args[0]!r} entry") from None
-    except (IndexError, ValueError, SyntaxError) as exc:
+    except (IndexError, TypeError, ValueError, SyntaxError) as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
 
 
@@ -650,8 +586,10 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
             fixed_rows.append((int(tok[1]), int(tok[2]), int(tok[3]), tok[4],
                                float(tok[5]), float(tok[6]), float(tok[7]),
                                float(tok[8])))
-        else:
+        elif tok[0] in _HEADER_KEYS:
             header[tok[0]] = tok[1:]
+        else:
+            raise CheckpointError(f"unknown checkpoint line {ln[:40]!r}")
         i += 1
     else:
         raise CheckpointError("missing 'end' line")
@@ -669,27 +607,36 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
         if activation != "tanh":
             raise CheckpointError(f"unsupported activation {activation!r}")
         spec = NetworkSpec("mlp", widths, conversion)
-        n_layers = len(widths) - 1
-        params = MlpParams(
-            [arrays[f"L{l}.W"] for l in range(n_layers)],
-            [arrays[f"L{l}.b"] for l in range(n_layers)],
-        )
     elif kind == "kan":
-        order = int(header["spline_order"][0])
-        grid = int(header["grid"][0])
-        spec = NetworkSpec("kan", widths, conversion, spline_order=order,
-                           grid=grid)
+        spec = NetworkSpec("kan", widths, conversion,
+                           spline_order=int(header["spline_order"][0]),
+                           grid=int(header["grid"][0]))
+    else:
+        spec = NetworkSpec("fkan", widths, conversion,
+                           fkan_grids=tuple(int(g) for g in header["grids"]))
+    table = _param_table(spec)
+    shapes = {name: shape for rows in table for name, _, shape in rows}
+    if kind == "kan":   # interior knots, written only when non-uniform
+        shapes.update({f"L{l}.knots": (spec.grid - 1,)
+                       for l in range(spec.n_layers)})
+    for name, arr in sorted(arrays.items()):
+        if name not in shapes:
+            raise CheckpointError(f"array {name} does not belong to the spec")
+        if arr.shape != shapes[name]:
+            raise CheckpointError(f"array {name} has shape {arr.shape}; "
+                                  f"the spec implies {shapes[name]}")
+    held = [{attr: arrays[name] for name, attr, _ in rows} for rows in table]
+    if kind == "mlp":
+        params = MlpParams([h["weights"] for h in held],
+                           [h["biases"] for h in held])
+    elif kind == "kan":
         layers = []
-        for l in range(len(widths) - 1):
-            coeffs = arrays[f"L{l}.coeffs"]
+        for l, h in enumerate(held):
             interior = arrays.get(f"L{l}.knots")
             kv = splines.KnotVector(
-                coeffs.shape[2] - order, order,
+                spec.grid, spec.spline_order,
                 interior=None if interior is None else tuple(interior))
-            layers.append(KanLayer(
-                knots=kv, coeffs=coeffs, w_b=arrays[f"L{l}.w_b"],
-                w_s=arrays[f"L{l}.w_s"], bias=arrays[f"L{l}.bias"],
-            ))
+            layers.append(KanLayer(knots=kv, **h))
         from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
 
         for l, i_, j_, name, a, b, c, d in fixed_rows:
@@ -700,14 +647,6 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
             layers[l].fixed[(i_, j_)] = FixedEdge(name, a, b, c, d)
         params = KanParams(layers)
     else:
-        grids = tuple(int(g) for g in header["grids"])
-        spec = NetworkSpec("fkan", widths, conversion, fkan_grids=grids)
-        layers = []
-        for l in range(len(widths) - 1):
-            layers.append(FourierLayer(
-                grid=grids[l], cos_coef=arrays[f"L{l}.cos"],
-                sin_coef=arrays[f"L{l}.sin"], bias=arrays[f"L{l}.bias"],
-            ))
-        params = FkanParams(layers)
+        params = FkanParams([FourierLayer(grid=g, **h)
+                             for g, h in zip(spec.fkan_grids, held)])
     return Checkpoint(spec, params, header["meta"])
-

@@ -86,13 +86,14 @@ def _grid_loss_value(y, dataset, target, weight) -> float:
 # ----------------------------------------------------------------------
 
 class Objective:
-    """A scalar tape loss over a flat parameter vector."""
+    """A scalar tape loss over a flat parameter vector that holds the
+    ``(name, shape)`` leaves of ``leaves`` in order."""
 
-    def __init__(self, tape: Tape, names: list, shapes: list):
+    def __init__(self, tape: Tape, leaves: list):
         self.tape = tape
-        self.names = names
-        self.shapes = shapes
-        self.sizes = [int(np.prod(s)) if s else 1 for s in shapes]
+        self.names = [name for name, _ in leaves]
+        self.shapes = [shape for _, shape in leaves]
+        self.sizes = [int(np.prod(s)) if s else 1 for s in self.shapes]
         self.offsets = np.cumsum([0] + self.sizes)
 
     @property
@@ -115,7 +116,7 @@ class Objective:
         return vals
 
     def value_grad(self, flat: np.ndarray):
-        """Loss and flat gradient; non-finite evaluation maps to +inf."""
+        """Loss and flat gradient; non-finite loss or gradient maps to +inf."""
         vals = self.unpack(flat)
         try:
             f = float(self.tape.forward(vals))
@@ -127,6 +128,8 @@ class Objective:
             g[self.offsets[k]:self.offsets[k + 1]] = np.asarray(
                 grads[name], dtype=float
             ).ravel()
+        if not np.all(np.isfinite(g)):
+            return np.inf, None
         return f, g
 
 
@@ -180,8 +183,7 @@ def build_grid_objective(spec: NetworkSpec, params, dataset, target: str,
     y_flat = build_forward_tape(tape, spec, params, x_norm, leaves)
     total = _grid_loss(tape, y_flat, dataset, target, weight)
     assert total == len(tape.nodes) - 1
-    specs = leaf_spec(spec, params)
-    return Objective(tape, [n_ for n_, _ in specs], [s for _, s in specs])
+    return Objective(tape, leaf_spec(spec, params))
 
 
 def build_mse_objective(spec: NetworkSpec, params, x: np.ndarray,
@@ -192,8 +194,7 @@ def build_mse_objective(spec: NetworkSpec, params, x: np.ndarray,
     out = build_forward_tape(tape, spec, params, np.asarray(x, dtype=float),
                              leaves)
     _tape_mse(tape, out, np.asarray(y, dtype=float))
-    specs = leaf_spec(spec, params)
-    return Objective(tape, [n_ for n_, _ in specs], [s for _, s in specs])
+    return Objective(tape, leaf_spec(spec, params))
 
 
 # ----------------------------------------------------------------------

@@ -308,6 +308,40 @@ class TestEval:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("arch,name,dims,n_values", [
+        ("mlp1", "L0.W", "16 2", 32),       # transposed, same size
+        ("kan1", "L0.w_b", "1 3", 3),       # a row short
+        ("kan1", "L1.bias", "2", 2),        # one node too many
+        ("kan1", "L1.coeffs", "3 2 19", 114),
+        ("fkan1", "L0.cos", "2 8 8", 128),  # axes swapped, same size
+    ])
+    def test_array_of_wrong_shape_exits_2(self, tmp_path, capsys, arch, name,
+                                          dims, n_values):
+        """An array whose shape is not the one its spec implies is rejected
+        at load time with a one-line message, by every command."""
+        spec = networks.preset(arch, "Q_S")
+        path = tmp_path / "ck.txt"
+        networks.save_checkpoint(networks.Checkpoint(
+            spec, networks.init_params(spec, seed=0),
+            {"target": "Q_S", "seed": 0, "step_mv": 50}), path)
+        lines = read(path).split("\n")
+        at = next(k for k, ln in enumerate(lines)
+                  if ln.startswith(f"array {name} "))
+        lines[at] = f"array {name} {dims}"
+        lines[at + 1] = " ".join(["0.5"] * n_values)
+        path.write_text("\n".join(lines))
+        commands = [("eval",)]
+        if spec.kind == "kan":
+            commands.append(("symbolic", "--mode", "posthoc"))
+        for command in commands:
+            out = tmp_path / command[0]
+            assert run(*command, "--checkpoint", str(path), "--out-dir",
+                       str(out)) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert name in err
+            assert not out.exists()
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert run("eval", "--checkpoint", str(tmp_path / "no.txt"),
                    "--out-dir", str(tmp_path)) == 2
@@ -389,8 +423,9 @@ class TestSymbolic:
 
     def test_pole_inside_the_box_is_reported(self, tmp_path, capsys):
         """An edge pinned to 1/x with its pole at V_D = 0.5 V makes the
-        formula infinite on that master-grid row: formula.json counts the
-        points, stderr says so in one line, and the exit code stays 0."""
+        formula infinite on that master-grid row: formula.json stays strict
+        JSON, with null errors beside the count of points, stderr says so in
+        one line, and the exit code stays 0."""
         spec = networks.NetworkSpec("kan", (2, 1), "charge-scale", grid=4)
         params = networks.init_params(spec, seed=0, grid_size=4)
         slope = 1.0 / device.V_MAX    # the tree's slope on raw volts
@@ -403,11 +438,40 @@ class TestSymbolic:
         assert run("symbolic", "--checkpoint", str(path), "--mode", "posthoc",
                    "--out-dir", str(out)) == 0
         n_axis = device.generate_dataset(50).vg_axis.size
-        blob = json.loads(read(out / "formula.json"))
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        blob = json.loads(read(out / "formula.json"), parse_constant=reject)
         assert blob["nonfinite_points"] == n_axis
+        assert blob["train_mape"] is None and blob["test_mape"] is None
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert f"not finite at {n_axis} points" in err
+
+    def test_nan_constant_is_null(self, tmp_path, capsys):
+        """A checkpoint with a nan coefficient gives a formula with a nan
+        constant: formula.json writes it as null and stays strict JSON, and
+        stderr reports the non-finite points."""
+        spec = networks.NetworkSpec("kan", (2, 1), "charge-scale", grid=4)
+        params = networks.init_params(spec, seed=0, grid_size=4)
+        params.layers[0].coeffs[0, 0, 2] = float("nan")
+        path = tmp_path / "nan.txt"
+        networks.save_checkpoint(networks.Checkpoint(
+            spec, params, {"target": "Q_S", "seed": 0, "step_mv": 50}), path)
+        out = tmp_path / "sr"
+        assert run("symbolic", "--checkpoint", str(path), "--mode", "posthoc",
+                   "--out-dir", str(out)) == 0
+        assert "nan" in read(out / "formula.txt")
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = read(out / "formula.json")
+        blob = json.loads(text, parse_constant=reject)
+        assert '"value": null' in text
+        assert blob["train_mape"] is None and blob["nonfinite_points"] > 0
+        assert "not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("extra", [
         ("--retrain-epochs", "-5"),

@@ -1,9 +1,13 @@
 """Tests for network containers, forwards, counting, and checkpoints."""
 
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kanc import networks, splines
@@ -21,6 +25,7 @@ from kanc.networks import (
     leaf_values,
     load_checkpoint,
     mlp_forward,
+    net_forward,
     param_count,
     preset,
     refine_kan,
@@ -304,6 +309,50 @@ class TestTapeBuilders:
             err = grad_check(tape, leaf_values(spec, params), step=1e-6)
             assert err < 1e-5, f"{name}: {err}"
 
+    @pytest.mark.parametrize("name,target,n_nodes", [("kan1", "Q_S", 12),
+                                                      ("kan2", "Q_D", 17)])
+    def test_kan_tape_is_one_node_per_layer(self, name, target, n_nodes):
+        """An unpinned spline network of L layers records 5L + 2 nodes: the
+        input grid, four leaves and one ``kan_layer`` per layer, and the
+        final reshape."""
+        spec = preset(name, target)
+        tape = Tape()
+        build_forward_tape(tape, spec, init_params(spec, seed=3),
+                           np.random.default_rng(40).uniform(0, 1, size=(20, 2)))
+        ops = [node.op for node in tape.nodes]
+        assert len(ops) == n_nodes == 5 * spec.n_layers + 2
+        assert ops.count("leaf") == 4 * spec.n_layers
+        assert ops.count("kan_layer") == spec.n_layers
+        assert ops.count("const") == 1 and ops[-1] == "reshape"
+        assert sorted(tape.leaf_names) == sorted(
+            f"L{l}.{key}" for l in range(spec.n_layers)
+            for key in ("coeffs", "w_b", "w_s", "bias"))
+
+    def test_pinned_edges_in_every_layer(self):
+        """Pinned edges in layer 0 and in a hidden layer, two of them on one
+        input column: the tape matches the numpy forward, its gradients
+        match central differences, and the pinned edges' spline entries get
+        zero gradient."""
+        spec = NetworkSpec("kan", (2, 3, 3, 1), "charge-scale", grid=3)
+        params = init_params(spec, seed=17, grid_size=3)
+        params.layers[0].fixed[(0, 1)] = FixedEdge("sin", 2.0, 0.5, 1.5, -0.2)
+        params.layers[1].fixed[(2, 0)] = FixedEdge("tanh", 1.5, -0.3, 0.8, 0.1)
+        params.layers[1].fixed[(2, 2)] = FixedEdge("x^2", 0.7, 0.2, -1.1, 0.3)
+        xs = np.random.default_rng(41).uniform(0, 1, size=(5, 2))
+        tape = Tape()
+        out = build_forward_tape(tape, spec, params, xs)
+        tape.sum(tape.pow(out, 2.0))
+        vals = leaf_values(spec, params)
+        tape.forward(vals)
+        assert_allclose(tape.value(out), kan_forward(spec, params, xs),
+                        rtol=0, atol=1e-12)
+        grads = tape.backward()
+        for l, layer in enumerate(params.layers):
+            for (i, j) in layer.fixed:
+                assert not grads[f"L{l}.coeffs"][i, j].any()
+                assert grads[f"L{l}.w_b"][i, j] == grads[f"L{l}.w_s"][i, j] == 0.0
+        assert grad_check(tape, vals, step=1e-6) < 1e-5
+
     def test_fixed_edge_forward_and_tape_agree(self):
         spec = NetworkSpec("kan", (2, 2, 1), "charge-scale", grid=3)
         params = init_params(spec, seed=9, grid_size=3)
@@ -491,3 +540,107 @@ class TestCheckpointIO:
         back = load_checkpoint(path)
         assert back.spec.kind == "oracle"
         assert back.meta["target"] == "I_D"
+
+
+@st.composite
+def any_network(draw):
+    """A small network of any trainable family.  Spline networks get a
+    random spline order, grids refined onto non-uniform knots and a random
+    set of pinned edges."""
+    from kanc.symbolic import LIBRARY_BY_NAME
+
+    kind = draw(st.sampled_from(["mlp", "kan", "fkan"]))
+    n_layers = draw(st.integers(1, 3))
+    widths = ((2,) + tuple(draw(st.integers(1, 3)) for _ in range(n_layers - 1))
+              + (1,))
+    conversion = draw(st.sampled_from(networks.CONVERSIONS))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "mlp":
+        spec = NetworkSpec("mlp", widths, conversion)
+        return spec, init_params(spec, seed)
+    if kind == "fkan":
+        grids = tuple(draw(st.integers(1, 4)) for _ in range(n_layers))
+        spec = NetworkSpec("fkan", widths, conversion, fkan_grids=grids)
+        return spec, init_params(spec, seed)
+    coarse = draw(st.integers(1, 6))
+    grid = draw(st.integers(coarse, 12))
+    spec = NetworkSpec("kan", widths, conversion,
+                       spline_order=draw(st.integers(1, 3)), grid=grid)
+    params = refine_kan(init_params(spec, seed, grid_size=coarse), grid)
+    edges = [(l, i, j) for l, layer in enumerate(params.layers)
+             for i in range(layer.n_in) for j in range(layer.n_out)]
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
+    for l, i, j in draw(st.lists(st.sampled_from(edges), unique=True)):
+        params.layers[l].fixed[(i, j)] = FixedEdge(
+            draw(st.sampled_from(sorted(LIBRARY_BY_NAME))),
+            draw(finite), draw(finite), draw(finite), draw(finite))
+    return spec, params
+
+
+def _saved_lines(spec, params, tmp) -> list:
+    path = os.path.join(tmp, "ck.txt")
+    save_checkpoint(Checkpoint(spec, params, {"seed": 3, "target": "Q_S"}),
+                    path)
+    with open(path) as fh:
+        return fh.read().splitlines()
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=120, deadline=None)
+    @given(any_network())
+    def test_round_trip_is_bitwise(self, net):
+        """Every leaf and the forward pass come back bit for bit."""
+        spec, params = net
+        with tempfile.TemporaryDirectory() as tmp:
+            _saved_lines(spec, params, tmp)
+            back = load_checkpoint(os.path.join(tmp, "ck.txt"))
+        assert back.spec == spec
+        before, after = leaf_values(spec, params), leaf_values(spec, back.params)
+        assert list(before) == list(after)
+        for name, value in before.items():
+            assert np.array_equal(value, after[name]), name
+        xs = np.random.default_rng(42).uniform(-0.2, 1.2, size=(30, 2))
+        with np.errstate(all="ignore"):
+            assert np.array_equal(net_forward(spec, params, xs),
+                                  net_forward(spec, back.params, xs),
+                                  equal_nan=True)
+
+    @settings(max_examples=300, deadline=None)
+    @given(any_network(), st.sampled_from(["drop", "duplicate", "truncate",
+                                           "dimension"]), st.data())
+    def test_fuzzed_file_raises_only_checkpoint_error(self, net, edit, data):
+        """A line dropped, duplicated or truncated loads or raises
+        CheckpointError; a changed dimension always raises it."""
+        spec, params = net
+        with tempfile.TemporaryDirectory() as tmp:
+            lines = _saved_lines(spec, params, tmp)
+            at = data.draw(st.integers(0, len(lines) - 1))
+            changed = False
+            if edit == "drop":
+                del lines[at]
+            elif edit == "duplicate":
+                lines.insert(at, lines[at])
+            elif edit == "truncate":
+                lines[at] = lines[at][:data.draw(st.integers(0, len(lines[at])))]
+            else:
+                sized = [k for k, ln in enumerate(lines) if ln.split()[0] in (
+                    "array", "widths", "grid", "grids", "spline_order")]
+                at = data.draw(st.sampled_from(sized))
+                tok = lines[at].split()
+                pos = data.draw(st.integers(2 if tok[0] == "array" else 1,
+                                            len(tok) - 1))
+                new = str(data.draw(st.integers(0, 40)))
+                changed = new != tok[pos]
+                tok[pos] = new
+                lines[at] = " ".join(tok)
+            path = os.path.join(tmp, "ck.txt")
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+            if changed:
+                with pytest.raises(CheckpointError):
+                    load_checkpoint(path)
+            else:
+                try:
+                    load_checkpoint(path)
+                except CheckpointError:
+                    pass

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from kanc import splines
 from kanc.diffengine import Tape, grad_check
+from test_diffengine import spline_layer
 from kanc.splines import (
     KnotVector,
     RefinementError,
@@ -135,17 +136,18 @@ class TestLocalKernel:
         splines.refined_knots(KnotVector(8, 3), 12), KnotVector(16, 3),
     ], ids=["2", "4", "8", "12-non-uniform", "16"])
     def test_tape_spline_grad_check(self, kv):
-        """The tape op differentiates in a leaf input and leaf coefficients.
-        Increasing coefficients keep the spline's slope, and so every input
-        gradient, away from zero."""
+        """The tape's spline layer differentiates in a leaf input and leaf
+        coefficients.  Increasing coefficients keep the spline's slope, and
+        so every input gradient, away from zero."""
         rng = np.random.default_rng(kv.grid_size)
         coeffs = np.cumsum(rng.uniform(0.5, 1.5, size=kv.n_basis))
         coeffs = 2.0 * (coeffs - coeffs.min()) / np.ptp(coeffs) - 1.0
         xs = np.linspace(-0.05, 1.05, 41) + rng.uniform(-0.01, 0.01, size=41)
         tape = Tape()
-        tape.sum(tape.spline(tape.leaf("x", xs.shape),
-                             tape.leaf("c", coeffs.shape), kv))
-        assert grad_check(tape, {"x": xs, "c": coeffs}) < 1e-6
+        tape.sum(spline_layer(tape, tape.leaf("x", (xs.size, 1)),
+                              tape.leaf("c", (1, 1, kv.n_basis)), kv))
+        assert grad_check(tape, {"x": xs[:, None],
+                                 "c": coeffs.reshape(1, 1, -1)}) < 1e-6
 
 
 class TestKnotVector:

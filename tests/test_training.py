@@ -183,6 +183,24 @@ class TestTapeObjectives:
         assert f == np.inf
         assert g is None
 
+    def test_non_finite_gradient_maps_to_inf(self):
+        """An edge pinned to sqrt(x) is finite at x = 0 but its slope is
+        not: the objective reports an infinite loss there, so a line search
+        backs off instead of stepping to non-finite parameters."""
+        spec = networks.NetworkSpec("kan", (2, 1), "charge-scale", grid=3)
+        params = networks.init_params(spec, seed=0, grid_size=3)
+        params.layers[0].fixed[(0, 0)] = networks.FixedEdge(
+            "sqrt", 1.0, 0.0, 1.0, 0.0)
+        x = np.array([[0.0, 0.5], [0.3, 0.2], [0.9, 0.7]])
+        obj = training.build_mse_objective(spec, params, x, np.zeros(3))
+        flat = obj.pack(networks.leaf_values(spec, params))
+        assert np.isfinite(obj.tape.forward(obj.unpack(flat)))
+        assert obj.value_grad(flat) == (np.inf, None)
+        vals = obj.unpack(flat)
+        vals["L0.fixb.0.0"] = 0.1   # sqrt(x + 0.1)
+        f, g = obj.value_grad(obj.pack(vals))
+        assert np.isfinite(f) and np.all(np.isfinite(g))
+
 
 class TestAdam:
     def test_matches_textbook_recurrence(self):
