@@ -61,17 +61,14 @@ def _sha256(path) -> str:
 
 def write_manifest(path, command: str, config: dict, seed,
                    inputs: list, outputs: list) -> None:
-    manifest = {
+    _write_json(path, {
         "version": VERSION,
         "command": command,
         "config": config,
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": sorted(str(o) for o in outputs),
-    }
-    with open(path, "w") as fh:
-        fh.write(json.dumps(manifest, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+    })
 
 
 def _write_rows(path, header: str, rows: list) -> None:
@@ -83,8 +80,20 @@ def _fmt(x) -> str:
     return "" if x is None else "%.17g" % x
 
 
-def _finite_or_none(x):
-    return x if x is not None and math.isfinite(x) else None
+def _finite(obj):
+    """``obj`` with each non-finite float (a pole, a nan constant) as None."""
+    if isinstance(obj, dict):
+        return {key: _finite(v) for key, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
+def _write_json(path, obj) -> None:
+    """Strict JSON: a non-finite float is written as null."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(_finite(obj), indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 # ----------------------------------------------------------------------
@@ -210,12 +219,6 @@ def build_train_config(args) -> tuple:
     return cfg, (out_dir or ".")
 
 
-def _config_dict(cfg: training.TrainConfig) -> dict:
-    d = asdict(cfg)
-    d["ladder"] = list(d["ladder"])
-    return d
-
-
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
@@ -257,7 +260,7 @@ def cmd_train(args) -> int:
         outputs += ["checkpoint.txt", "trainlog.csv"]
         diverged = log.diverged
     write_manifest(os.path.join(out_dir, "manifest.json"), "train",
-                   {**_config_dict(cfg), "out_dir": out_dir,
+                   {**asdict(cfg), "out_dir": out_dir,
                     "sweep": int(args.sweep or 0)},
                    cfg.seed, inputs, outputs)
     return EXIT_DIVERGED if diverged else EXIT_OK
@@ -329,16 +332,11 @@ def cmd_symbolic(args) -> int:
     if nonfinite:
         print(f"warning: the formula is not finite at {nonfinite} points of "
               f"the {device.MASTER_STEP_MV} mV master grid", file=sys.stderr)
-    # strict JSON: a non-finite error (like a non-finite constant of the
-    # tree) is written as null, beside the count of non-finite points
-    blob = {"target": model.target, "text": model.text,
-            "tree": model.tree.to_dict(),
-            "train_mape": _finite_or_none(model.mape(dataset, "train")),
-            "test_mape": _finite_or_none(test_mape),
-            "nonfinite_points": nonfinite}
-    with open(os.path.join(args.out_dir, "formula.json"), "w") as fh:
-        fh.write(json.dumps(blob, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+    _write_json(os.path.join(args.out_dir, "formula.json"),
+                {"target": model.target, "text": model.text,
+                 "tree": model.tree.to_dict(),
+                 "train_mape": model.mape(dataset, "train"),
+                 "test_mape": test_mape, "nonfinite_points": nonfinite})
     table = []
     for r in rounds:
         edges = ";".join(f"{l}:{i}:{j}={name}"

@@ -245,9 +245,8 @@ class Num(Expr):
         # shortest text that parses back to the same float
         return repr(float(self.value))
 
-    def to_dict(self):   # strict JSON: a non-finite constant is null
-        return {"op": "num",
-                "value": self.value if np.isfinite(self.value) else None}
+    def to_dict(self):
+        return {"op": "num", "value": self.value}
 
     def diff(self, var):
         return Num(0.0)

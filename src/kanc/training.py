@@ -633,6 +633,8 @@ def train_kan(cfg: TrainConfig):
                 log.diverged = True
                 break
     log.wall_clock = time.perf_counter() - t0
+    # a diverged stage ends the ladder early, on that stage's grid
+    spec = replace(spec, grid=params.grid_size)
     return _checkpoint(spec, params, cfg, log), log
 
 

@@ -13,3 +13,19 @@ import os
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+
+@pytest.fixture
+def spline_layer():
+    """Builder of a 1x1 ``kan_layer`` whose output is the spline part alone
+    (w_b = 0, w_s = 1, bias 0), as an (N,) node: ``build(tape, x, coeffs,
+    kv)`` with ``x`` an (N, 1) node and ``coeffs`` a (1, 1, n_basis) node."""
+    def build(tape, x, coeffs, kv):
+        out = tape.kan_layer(x, coeffs, tape.const(np.zeros((1, 1))),
+                             tape.const(np.ones((1, 1))),
+                             tape.const(np.zeros(1)), kv, {})
+        return tape.reshape(out, (-1,))
+    return build

@@ -150,6 +150,33 @@ class TestTrain:
         manifest = json.loads(read(tmp_path / "ini" / "manifest.json"))
         assert str(cfg) in manifest["inputs"]
 
+    @pytest.mark.parametrize("sweep", [(), ("--sweep", "2")],
+                             ids=["single", "sweep"])
+    def test_diverged_ladder_checkpoint_loads(self, tmp_path, monkeypatch,
+                                              sweep):
+        """A kan run whose second ladder stage diverges stops on that
+        stage's grid, coarser than the ladder's last: the checkpoint's
+        header names the grid its coefficients have, and eval reads it."""
+        real = training.run_lbfgs_stage
+
+        def diverge_on_grid_4(spec, params, *args):
+            new, losses, diverged = real(spec, params, *args)
+            return new, losses, diverged or params.grid_size == 4
+
+        monkeypatch.setattr(training, "run_lbfgs_stage", diverge_on_grid_4)
+        out = tmp_path / "train"
+        assert run("train", "--family", "kan", "--target", "Q_S",
+                   "--step-mv", "50", "--seed", "0", "--ladder", "2,4,8",
+                   "--epochs", "3", "--out-dir", str(out), *sweep) == 3
+        paths = sorted(out.glob("checkpoint*.txt"))
+        assert len(paths) == (2 if sweep else 1)
+        for path in paths:
+            assert "grid 4" in read(path).split("\n")
+            ck = networks.load_checkpoint(path)
+            assert ck.spec.grid == ck.params.grid_size == 4
+            assert run("eval", "--checkpoint", str(path), "--out-dir",
+                       str(tmp_path / "eval")) == 0
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[train]\nfamily = mlp\ntarget = Q_S\n"

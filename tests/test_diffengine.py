@@ -151,18 +151,8 @@ class TestBackward:
         assert len(calls) == 1
 
 
-def spline_layer(tape, x, coeffs, kv):
-    """A 1x1 ``kan_layer`` whose output is the spline part alone (w_b = 0,
-    w_s = 1, bias 0), as an (N,) node.  ``x`` is an (N, 1) node and
-    ``coeffs`` a (1, 1, n_basis) node."""
-    out = tape.kan_layer(x, coeffs, tape.const(np.zeros((1, 1))),
-                         tape.const(np.ones((1, 1))), tape.const(np.zeros(1)),
-                         kv, {})
-    return tape.reshape(out, (-1,))
-
-
 class TestSplinePrimitive:
-    def test_spline_value_matches_module(self):
+    def test_spline_value_matches_module(self, spline_layer):
         rng = np.random.default_rng(3)
         kv = splines.KnotVector(grid_size=5, order=3)
         coeffs = rng.normal(size=kv.n_basis)
@@ -173,7 +163,7 @@ class TestSplinePrimitive:
         val = tape.forward({"c": coeffs.reshape(1, 1, -1)})
         assert_allclose(val, splines.basis_matrix(kv, xs) @ coeffs, rtol=1e-14)
 
-    def test_spline_coefficient_gradient(self):
+    def test_spline_coefficient_gradient(self, spline_layer):
         """d(sum spline)/dc_i is the column sum of the basis matrix."""
         kv = splines.KnotVector(grid_size=4, order=3)
         xs = np.linspace(0.1, 0.9, 15)
@@ -185,7 +175,7 @@ class TestSplinePrimitive:
         assert_allclose(grads["c"][0, 0], splines.basis_matrix(kv, xs).sum(axis=0),
                         rtol=1e-14)
 
-    def test_spline_input_gradient(self):
+    def test_spline_input_gradient(self, spline_layer):
         """The layer is differentiable in x as well as the coefficients."""
         rng = np.random.default_rng(4)
         kv = splines.KnotVector(grid_size=5, order=3)

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 
 from kanc import splines
 from kanc.diffengine import Tape, grad_check
-from test_diffengine import spline_layer
 from kanc.splines import (
     KnotVector,
     RefinementError,
@@ -135,7 +134,7 @@ class TestLocalKernel:
         KnotVector(2, 3), KnotVector(4, 3), KnotVector(8, 3),
         splines.refined_knots(KnotVector(8, 3), 12), KnotVector(16, 3),
     ], ids=["2", "4", "8", "12-non-uniform", "16"])
-    def test_tape_spline_grad_check(self, kv):
+    def test_tape_spline_grad_check(self, kv, spline_layer):
         """The tape's spline layer differentiates in a leaf input and leaf
         coefficients.  Increasing coefficients keep the spline's slope, and
         so every input gradient, away from zero."""
