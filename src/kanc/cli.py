@@ -71,15 +71,6 @@ def write_manifest(path, command: str, config: dict, seed,
     })
 
 
-def _write_rows(path, header: str, rows: list) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join([header] + rows) + "\n")
-
-
-def _fmt(x) -> str:
-    return "" if x is None else "%.17g" % x
-
-
 def _finite(obj):
     """``obj`` with each non-finite float (a pole, a nan constant) as None."""
     if isinstance(obj, dict):
@@ -197,6 +188,10 @@ def build_train_config(args) -> tuple:
     cfg = training.TrainConfig(**values)
     if cfg.family not in ("mlp", "kan", "fkan"):
         raise ConfigError(f"unknown family {cfg.family!r}")
+    if cfg.target not in device.FIELD_NAMES:
+        raise ConfigError(f"unknown target {cfg.target!r}; expected one of "
+                          f"{', '.join(device.FIELD_NAMES)}")
+    _check_range("seed", cfg.seed, lambda v: v >= 0, ">= 0")
     if cfg.step_mv not in device.TRAIN_STEPS_MV:
         raise ConfigError(f"unsupported grid step {cfg.step_mv} mV")
     try:
@@ -246,11 +241,13 @@ def cmd_train(args) -> int:
                                      os.path.join(out_dir, ck_name))
             training.save_trainlog(r["log"], os.path.join(out_dir, log_name))
             outputs += [ck_name, log_name]
+        fmt = evaluate.csv_field
         table = [",".join([str(r["seed"]), str(int(r["diverged"])),
-                           _fmt(r["train_mape"]), _fmt(r["test_mape"]),
-                           _fmt(r["final_loss"])]) for r in rows]
-        _write_rows(os.path.join(out_dir, "sweep.csv"),
-                    "seed,diverged,train_mape,test_mape,final_loss", table)
+                           fmt(r["train_mape"]), fmt(r["test_mape"]),
+                           fmt(r["final_loss"])]) for r in rows]
+        evaluate.write_csv(os.path.join(out_dir, "sweep.csv"),
+                           "seed,diverged,train_mape,test_mape,final_loss",
+                           table)
         outputs.append("sweep.csv")
         diverged = all(r["diverged"] for r in rows)
     else:
@@ -273,24 +270,15 @@ def _load_dataset_for(ck, step, data_path):
     return device.generate_dataset(step)
 
 
-def _report_names(reports) -> list:
-    names = ["summary.csv"]
-    for idx, r in enumerate(reports):
-        for vd in sorted(r.sweeps):
-            names.append(f"sweep_{idx}_{r.target}_vd{vd:g}.csv")
-    return names
-
-
 def cmd_eval(args) -> int:
     ck = networks.load_checkpoint(args.checkpoint)
     dataset = _load_dataset_for(ck, args.step, args.data)
-    os.makedirs(args.out_dir, exist_ok=True)
-    reports = evaluate.make_report([ck], dataset, args.out_dir)
+    names = evaluate.make_report([ck], dataset, args.out_dir)
     inputs = [args.checkpoint] + ([args.data] if args.data else [])
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "eval",
                    {"checkpoint": str(args.checkpoint),
                     "step_mv": dataset.step_mv},
-                   ck.meta.get("seed"), inputs, _report_names(reports))
+                   ck.meta.get("seed"), inputs, names)
     return EXIT_OK
 
 
@@ -299,11 +287,9 @@ def cmd_derivs(args) -> int:
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
     for vd in args.vd:
-        curve = evaluate.derivative_sweep(ck, vd)
         name = f"deriv_vd{vd:g}.csv"
-        rows = ["%.17g,%.17g,%.17g" % (g, f1, f2) for g, f1, f2
-                in zip(curve.v_g, curve.first, curve.second)]
-        _write_rows(os.path.join(args.out_dir, name), "V_G,first,second", rows)
+        evaluate.write_sweep(os.path.join(args.out_dir, name),
+                             evaluate.derivative_sweep(ck, vd))
         outputs.append(name)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "derivs",
                    {"checkpoint": str(args.checkpoint),
@@ -342,11 +328,11 @@ def cmd_symbolic(args) -> int:
         edges = ";".join(f"{l}:{i}:{j}={name}"
                          for (l, i, j), name, _ in r["fixed"])
         table.append(",".join([str(r["round"]), edges,
-                               _fmt(r["train_mape"]),
+                               evaluate.csv_field(r["train_mape"]),
                                str(r["retrain_epochs"]),
                                str(int(r["diverged"]))]))
-    _write_rows(os.path.join(args.out_dir, "rounds.csv"),
-                "round,edges,train_mape,retrain_epochs,diverged", table)
+    evaluate.write_csv(os.path.join(args.out_dir, "rounds.csv"),
+                       "round,edges,train_mape,retrain_epochs,diverged", table)
     outputs = ["formula.txt", "formula.json", "rounds.csv"]
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "symbolic",
                    {"checkpoint": str(args.checkpoint), "mode": args.mode,
@@ -359,12 +345,11 @@ def cmd_symbolic(args) -> int:
 def cmd_report(args) -> int:
     cks = [networks.load_checkpoint(p) for p in args.checkpoints]
     dataset = _load_dataset_for(cks[0], args.step, None)
-    os.makedirs(args.out_dir, exist_ok=True)
-    reports = evaluate.make_report(cks, dataset, args.out_dir)
+    names = evaluate.make_report(cks, dataset, args.out_dir)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "report",
                    {"checkpoints": [str(p) for p in args.checkpoints],
                     "step_mv": dataset.step_mv},
-                   None, list(args.checkpoints), _report_names(reports))
+                   None, list(args.checkpoints), names)
     return EXIT_OK
 
 

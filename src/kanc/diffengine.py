@@ -15,6 +15,12 @@ and ``sin(k h)`` come from :func:`fourier_tables`, which takes a single
 angle addition.  A spline edge layer is one ``kan_layer`` node.  It works
 on the ``order + 1`` local basis rows of :func:`splines._local_basis`, one
 kernel call per input column, and builds no dense basis matrix.
+
+The working arrays a layer node's forward builds for its backward live in
+one scratch entry per node.  Arrays that depend only on the node's input
+(the Fourier tables; the local basis and ``silu`` of each input column)
+are kept across passes while that input is fixed and rebuilt otherwise,
+the Fourier tables in place.  The per-edge spline values live for one pass.
 """
 
 from __future__ import annotations
@@ -115,10 +121,7 @@ class Tape:
         self.values: list = []
         self._fixed: list[bool] = []   # node depends on no leaf
         self._folded: dict = {}        # values of fixed nodes, kept across passes
-        self._basis_cache: dict = {}
-        self._spline_parts: dict = {}  # kan_layer node -> per-edge spline values
-        self._trig_cache: dict = {}
-        self._table_buffers: dict = {}  # Fourier tables refilled each pass
+        self._scratch: dict = {}       # layer node -> its forward's working arrays
 
     # ------------------------------------------------------------------
     # construction
@@ -203,9 +206,7 @@ class Tape:
         return self._push(Node("sum", (a,)))
 
     def mean(self, a):
-        s = self.sum(a)
-        # aux remembers the pre-reduction node so the divisor is its size
-        return self._push(Node("scale", (s,), a))
+        return self._push(Node("mean", (a,)))
 
     def reshape(self, a, shape):
         return self._push(Node("reshape", (a,), tuple(shape)))
@@ -222,11 +223,6 @@ class Tape:
             raise ValueError(f"missing leaf values for {sorted(missing)}")
         self.values = [None] * len(self.nodes)
         fixed, folded = self._fixed, self._folded
-        # trig and basis values of a fixed argument stay valid too
-        self._basis_cache = {k: p for k, p in self._basis_cache.items()
-                             if fixed[k[0]]}
-        self._trig_cache = {k: t for k, t in self._trig_cache.items()
-                            if fixed[k[0]]}
         v = self.values
         with np.errstate(all="ignore"):
             for idx, node in enumerate(self.nodes):
@@ -259,13 +255,19 @@ class Tape:
                 elif op == "log":
                     val = np.log(v[a[0]])
                 elif op == "sin":
-                    val = self._trig(a[0], "sin")
+                    val = np.sin(v[a[0]])
                 elif op == "cos":
-                    val = self._trig(a[0], "cos")
+                    val = np.cos(v[a[0]])
                 elif op == "fourier":
                     cos_w, sin_w = v[a[1]], v[a[2]]
-                    C, S = self._fourier_tables(a[0], cos_w.shape[2])
-                    val = fourier_sum(C, S, cos_w, sin_w)
+                    tables = self._scratch.get(idx)
+                    if tables is None or not fixed[a[0]]:
+                        # refilled in place: fresh multi-megabyte tables on
+                        # every pass cost more in page faults than the angle
+                        # additions that fill them
+                        tables = self._scratch[idx] = fourier_tables(
+                            v[a[0]], cos_w.shape[2], out=tables)
+                    val = fourier_sum(*tables, cos_w, sin_w)
                 elif op == "tanh":
                     val = np.tanh(v[a[0]])
                 elif op == "atan":
@@ -278,8 +280,8 @@ class Tape:
                     val = v[a[0]][:, node.aux]
                 elif op == "sum":
                     val = np.sum(v[a[0]])
-                elif op == "scale":
-                    val = v[a[0]] / self.values_size(node.aux)
+                elif op == "mean":
+                    val = np.sum(v[a[0]]) / float(v[a[0]].size)
                 elif op == "reshape":
                     val = np.reshape(v[a[0]], node.aux)
                 else:  # pragma: no cover
@@ -293,9 +295,6 @@ class Tape:
                 if fixed[idx]:
                     folded[idx] = val
         return v[-1]
-
-    def values_size(self, idx) -> float:
-        return float(np.asarray(self.values[idx]).size)
 
     def backward(self, output_index: int | None = None) -> dict:
         if not self.values or self.values[0] is None:
@@ -356,12 +355,12 @@ class Tape:
                 elif op == "log":
                     accumulate(a[0], g / v[a[0]])
                 elif op == "sin":
-                    accumulate(a[0], g * self._trig(a[0], "cos"))
+                    accumulate(a[0], g * np.cos(v[a[0]]))
                 elif op == "cos":
-                    accumulate(a[0], -g * self._trig(a[0], "sin"))
+                    accumulate(a[0], -g * np.sin(v[a[0]]))
                 elif op == "fourier":
                     cos_w, sin_w = v[a[1]], v[a[2]]
-                    C, S = self._fourier_tables(a[0], cos_w.shape[2])
+                    C, S = self._scratch[idx]
                     if live[a[1]]:
                         accumulate(a[1], np.stack([g.T @ c for c in C], axis=2))
                     if live[a[2]]:
@@ -393,8 +392,9 @@ class Tape:
                     accumulate(a[0], dh)
                 elif op == "sum":
                     accumulate(a[0], np.broadcast_to(g, np.asarray(v[a[0]]).shape))
-                elif op == "scale":
-                    accumulate(a[0], g / self.values_size(node.aux))
+                elif op == "mean":
+                    accumulate(a[0], np.broadcast_to(g / float(v[a[0]].size),
+                                                     v[a[0]].shape))
                 elif op == "reshape":
                     accumulate(a[0], np.reshape(g, np.asarray(v[a[0]]).shape))
                 else:  # pragma: no cover
@@ -409,58 +409,28 @@ class Tape:
             grads[name] = g
         return grads
 
-    def _trig(self, arg_idx, func):
-        # One np.sin/np.cos per (node, function) per forward pass; the
-        # backward sweep reuses the cached partner instead of recomputing.
-        key = (arg_idx, func)
-        val = self._trig_cache.get(key)
-        if val is None:
-            fn = np.sin if func == "sin" else np.cos
-            val = fn(self.values[arg_idx])
-            self._trig_cache[key] = val
-        return val
-
-    def _fourier_tables(self, arg_idx, grid):
-        # One table pair per (node, grid) per forward pass, reused by the
-        # backward sweep; kept across passes when the argument is fixed.
-        # Tables of a leaf-dependent argument are refilled in place: fresh
-        # multi-megabyte arrays on every pass cost more in page faults than
-        # the angle additions that fill them.
-        key = (arg_idx, "fourier", grid)
-        tables = self._trig_cache.get(key)
-        if tables is None:
-            tables = fourier_tables(self.values[arg_idx], grid,
-                                    out=self._table_buffers.get(key))
-            self._trig_cache[key] = tables
-            if not self._fixed[arg_idx]:
-                self._table_buffers[key] = tables
-        return tables
-
-    def _column_basis(self, arg_idx, i, kv):
-        # One local basis and silu per (input column, knots) per pass, shared
-        # by the column's edges and reused by the backward sweep; kept across
-        # passes when the input is fixed.
-        key = (arg_idx, i, kv.key())
-        local = self._basis_cache.get(key)
-        if local is None:
-            x = np.ascontiguousarray(self.values[arg_idx][:, i])
-            local = splines._local_basis(kv, x) + (splines.silu(x),)
-            self._basis_cache[key] = local
-        return local
-
     def _kan_layer(self, idx, node):
         v, a = self.values, node.args
-        coeffs, w_b, w_s, bias = v[a[1]], v[a[2]], v[a[3]], v[a[4]]
+        h, coeffs, w_b, w_s, bias = v[a[0]], v[a[1]], v[a[2]], v[a[3]], v[a[4]]
         kv, pinned = node.aux
-        out = np.empty((v[a[0]].shape[0], w_b.shape[1]))
-        parts = self._spline_parts[idx] = {}
+        # input column i -> its local basis and silu, built when an edge
+        # first reads it; edge (i, j) -> its spline value
+        columns, _ = self._scratch.get(idx, ({}, None))
+        if not self._fixed[a[0]]:
+            columns = {}
+        parts = {}
+        self._scratch[idx] = columns, parts
+        out = np.empty((h.shape[0], w_b.shape[1]))
         for j in range(w_b.shape[1]):
             col = None
             for i in range(w_b.shape[0]):
                 if (i, j) in pinned:
                     edge = v[pinned[i, j]]
                 else:
-                    first, vals, _, silu = self._column_basis(a[0], i, kv)
+                    if i not in columns:
+                        x = np.ascontiguousarray(h[:, i])
+                        columns[i] = splines._local_basis(kv, x) + (splines.silu(x),)
+                    first, vals, _, silu = columns[i]
                     part = parts[i, j] = splines._combine(first, vals, coeffs[i, j])
                     edge = silu * w_b[i, j] + part * w_s[i, j]
                 col = edge if col is None else col + edge
@@ -477,9 +447,10 @@ class Tape:
         d_coeffs, d_wb, d_ws = (np.zeros(x.shape) for x in (coeffs, w_b, w_s))
         d_h = np.zeros(h.shape) if want_h else None
         silu_adj = {}   # input column i -> sum over j of g_j w_b[i, j]
+        columns, parts = self._scratch[idx]
         # last j first, the order in which a tape of per-edge nodes sums them
-        for (i, j), part in reversed(self._spline_parts[idx].items()):
-            first, vals, derivs, silu = self._column_basis(a[0], i, kv)
+        for (i, j), part in reversed(parts.items()):
+            first, vals, derivs, silu = columns[i]
             gj = g_cols[j]
             d_wb[i, j] = np.sum(gj * silu)
             d_ws[i, j] = np.sum(gj * part)

@@ -50,40 +50,47 @@ def target_mape(pred, true, target: str) -> float:
 # model evaluation in physical units
 # ----------------------------------------------------------------------
 
-def predict(ck: networks.Checkpoint, v_d, v_g) -> np.ndarray:
-    """Model output for raw voltage arrays, in the target's working units
-    (amperes for current heads, scaled charge numbers for charge heads)."""
+def predict(model, v_d, v_g) -> np.ndarray:
+    """Output of a checkpoint or a symbolic model (anything with ``spec``
+    and ``eval(v_d, v_g)``) for raw voltage arrays, in the target's working
+    units (amperes for current heads, scaled charge numbers for charge
+    heads)."""
     v_d = np.asarray(v_d, dtype=float)
     v_g = np.asarray(v_g, dtype=float)
-    if ck.spec.kind == "oracle":
+    if model.spec.kind == "oracle":
         fields = device.surrogate_fields(v_d, v_g)
-        return fields[ck.meta["target"]]
-    x = np.column_stack([
-        device.normalize_voltages(v_d).ravel(),
-        device.normalize_voltages(v_g).ravel(),
-    ])
-    y = networks.net_forward(ck.spec, ck.params, x)
-    y = np.asarray(y).reshape(v_d.shape)
-    if ck.spec.conversion == "exp-current":
+        return fields[model.meta["target"]]
+    if isinstance(model, networks.Checkpoint):
+        x = np.column_stack([
+            device.normalize_voltages(v_d).ravel(),
+            device.normalize_voltages(v_g).ravel(),
+        ])
+        y = networks.net_forward(model.spec, model.params, x)
+        y = np.asarray(y).reshape(v_d.shape)
+    else:
+        y = model.eval(v_d, v_g)
+    if model.spec.conversion == "exp-current":
         return np.exp(y)
     return y
+
+
+def split_mape(model, dataset: device.VoltageGridDataset, target: str,
+               split: str = "train") -> float:
+    """Error ratio of ``model`` (see :func:`predict`) on one split of the
+    dataset, ``"train"`` or ``"test"``."""
+    if split == "train":
+        xy, true = dataset.train_inputs(), dataset.train_field(target).ravel()
+    else:
+        xy, true = dataset.test_inputs(), dataset.test_values(target)
+    return target_mape(predict(model, xy[:, 0], xy[:, 1]), true, target)
 
 
 def split_errors(ck: networks.Checkpoint, dataset: device.VoltageGridDataset,
                  target: str) -> dict:
     """Train and test error ratios for a checkpoint against a dataset."""
-    out = {}
-    train_xy = dataset.train_inputs()
-    pred = predict(ck, train_xy[:, 0], train_xy[:, 1])
-    true = dataset.train_field(target).ravel()
-    out["train"] = target_mape(pred, true, target)
-    if dataset.test_count:
-        test_xy = dataset.test_inputs()
-        pred_t = predict(ck, test_xy[:, 0], test_xy[:, 1])
-        out["test"] = target_mape(pred_t, dataset.test_values(target), target)
-    else:
-        out["test"] = None
-    return out
+    return {"train": split_mape(ck, dataset, target),
+            "test": (split_mape(ck, dataset, target, "test")
+                     if dataset.test_count else None)}
 
 
 # ----------------------------------------------------------------------
@@ -98,11 +105,10 @@ class SweepCurve:
     second: np.ndarray    # d2(pred)/dV_G2
 
 
-def derivative_sweep(ck: networks.Checkpoint, v_d: float,
-                     resolution: float = SWEEP_RESOLUTION) -> SweepCurve:
+def derivative_sweep(ck: networks.Checkpoint, v_d: float) -> SweepCurve:
     """First and second derivatives of the prediction along a dense gate
     sweep at fixed drain bias, by the shared finite-difference stencils."""
-    n = int(round(device.V_MAX / resolution)) + 1
+    n = int(round(device.V_MAX / SWEEP_RESOLUTION)) + 1
     v_g = np.linspace(0.0, device.V_MAX, n)
     pred = predict(ck, np.full(n, float(v_d)), v_g)
     d = device.derivative_stencil(n, v_g[1] - v_g[0])
@@ -157,34 +163,43 @@ def evaluate_checkpoint(ck: networks.Checkpoint,
     )
 
 
-def _fmt(x) -> str:
+def csv_field(x) -> str:
+    """A number as CSV text that parses back to the same float; None is
+    an empty field."""
     return "" if x is None else "%.17g" % x
 
 
+def write_csv(path, header: str, rows: list) -> None:
+    with open(path, "w") as fh:
+        fh.write("\n".join([header] + rows) + "\n")
+
+
+def write_sweep(path, curve: SweepCurve) -> None:
+    """One ``V_G,first,second`` row per gate voltage of the sweep."""
+    write_csv(path, "V_G,first,second",
+              ["%.17g,%.17g,%.17g" % row
+               for row in zip(curve.v_g, curve.first, curve.second)])
+
+
 def make_report(checkpoints, dataset: device.VoltageGridDataset,
-                out_dir=None) -> list:
-    """Evaluate one or more checkpoints; optionally write a summary table
-    and per-sweep curve files.  Output bytes depend only on the inputs."""
+                out_dir) -> list:
+    """Evaluate one or more checkpoints into a summary table and per-sweep
+    curve files in ``out_dir``; returns the names of the files written.
+    Output bytes depend only on the inputs."""
     if isinstance(checkpoints, networks.Checkpoint):
         checkpoints = [checkpoints]
     reports = [evaluate_checkpoint(ck, dataset) for ck in checkpoints]
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        lines = ["target,step_mv,seed,train_mape,test_mape,"
-                 "waviness_vd0.4,waviness_vd0.8"]
-        for r in reports:
-            lines.append(",".join([
-                r.target, str(r.step_mv), str(r.seed), _fmt(r.train_mape),
-                _fmt(r.test_mape), _fmt(r.waviness[0.4]), _fmt(r.waviness[0.8]),
-            ]))
-        with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        for idx, r in enumerate(reports):
-            for vd, curve in sorted(r.sweeps.items()):
-                name = f"sweep_{idx}_{r.target}_vd{vd:g}.csv"
-                rows = ["V_G,first,second"]
-                for g, f1, f2 in zip(curve.v_g, curve.first, curve.second):
-                    rows.append("%.17g,%.17g,%.17g" % (g, f1, f2))
-                with open(os.path.join(out_dir, name), "w") as fh:
-                    fh.write("\n".join(rows) + "\n")
-    return reports
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, "summary.csv"),
+              "target,step_mv,seed,train_mape,test_mape,"
+              "waviness_vd0.4,waviness_vd0.8",
+              [",".join([r.target, str(r.step_mv), str(r.seed),
+                         csv_field(r.train_mape), csv_field(r.test_mape),
+                         csv_field(r.waviness[0.4]),
+                         csv_field(r.waviness[0.8])]) for r in reports])
+    names = ["summary.csv"]
+    for idx, r in enumerate(reports):
+        for vd, curve in sorted(r.sweeps.items()):
+            names.append(f"sweep_{idx}_{r.target}_vd{vd:g}.csv")
+            write_sweep(os.path.join(out_dir, names[-1]), curve)
+    return names

@@ -445,8 +445,7 @@ def build_forward_tape(tape: Tape, spec: NetworkSpec, params, x_const: np.ndarra
 # refinement and attribution
 # ----------------------------------------------------------------------
 
-def refine_kan(params: KanParams, new_grid_size: int,
-               samples_per_basis: int = 20) -> KanParams:
+def refine_kan(params: KanParams, new_grid_size: int) -> KanParams:
     """Move every layer of a spline network to a denser grid.
 
     The refined knots keep every old knot, so one least-squares solve per
@@ -455,7 +454,7 @@ def refine_kan(params: KanParams, new_grid_size: int,
     new_layers = []
     for layer in params.layers:
         kv, coeffs = splines._transfer(layer.knots, new_grid_size,
-                                       layer.coeffs, samples_per_basis)
+                                       layer.coeffs)
         new_layers.append(KanLayer(
             knots=kv, coeffs=coeffs, w_b=layer.w_b.copy(),
             w_s=layer.w_s.copy(), bias=layer.bias.copy(),
@@ -625,6 +624,8 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
         if arr.shape != shapes[name]:
             raise CheckpointError(f"array {name} has shape {arr.shape}; "
                                   f"the spec implies {shapes[name]}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"array {name} holds a non-finite value")
     held = [{attr: arrays[name] for name, attr, _ in rows} for rows in table]
     if kind == "mlp":
         params = MlpParams([h["weights"] for h in held],
@@ -642,7 +643,8 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
         for l, i_, j_, name, a, b, c, d in fixed_rows:
             if (name not in LIBRARY_BY_NAME or not 0 <= l < len(layers)
                     or not 0 <= i_ < layers[l].n_in
-                    or not 0 <= j_ < layers[l].n_out):
+                    or not 0 <= j_ < layers[l].n_out
+                    or not np.all(np.isfinite((a, b, c, d)))):
                 raise CheckpointError(f"bad pinned edge {l} {i_} {j_} {name}")
             layers[l].fixed[(i_, j_)] = FixedEdge(name, a, b, c, d)
         params = KanParams(layers)

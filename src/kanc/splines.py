@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+SAMPLES_PER_BASIS = 20   # transfer-fit samples per refined basis function
+
+
 class RefinementError(RuntimeError):
     """Raised when a refinement least-squares system is rank deficient."""
 
@@ -84,11 +87,6 @@ class KnotVector:
     @property
     def n_basis(self) -> int:
         return self.grid_size + self.order
-
-    def key(self):
-        """Hashable identity used for caching basis evaluations."""
-        return (self.grid_size, self.order, self.domain_lo, self.domain_hi,
-                self.interior)
 
 
 def _local_basis(kv: KnotVector, x):
@@ -256,8 +254,7 @@ def refined_knots(kv: KnotVector, new_grid_size: int) -> KnotVector:
                       interior=interior)
 
 
-def _transfer(old: KnotVector, new_grid_size: int, coeffs: np.ndarray,
-              samples_per_basis: int):
+def _transfer(old: KnotVector, new_grid_size: int, coeffs: np.ndarray):
     """Refined knots and the coefficients that re-express every spline in
     ``coeffs`` (shape ``(..., old.n_basis)``) on them.
 
@@ -267,7 +264,7 @@ def _transfer(old: KnotVector, new_grid_size: int, coeffs: np.ndarray,
     to round-off.
     """
     kv = refined_knots(old, new_grid_size)
-    n_samples = max(10, samples_per_basis) * kv.n_basis
+    n_samples = SAMPLES_PER_BASIS * kv.n_basis
     xs = np.linspace(old.domain_lo, old.domain_hi, n_samples)
     design = basis_matrix(kv, xs)
     targets = basis_matrix(old, xs) @ coeffs.reshape(-1, old.n_basis).T
@@ -275,10 +272,8 @@ def _transfer(old: KnotVector, new_grid_size: int, coeffs: np.ndarray,
     return kv, new.T.reshape(coeffs.shape[:-1] + (kv.n_basis,))
 
 
-def refine(act: SplineActivation, new_grid_size: int, samples_per_basis: int = 20
-           ) -> SplineActivation:
+def refine(act: SplineActivation, new_grid_size: int) -> SplineActivation:
     """Re-express the spline part on a denser grid by least squares; silu
     weights are carried over unchanged.  Coarse-to-fine only."""
-    kv, coeffs = _transfer(act.knots, new_grid_size, act.coeffs,
-                           samples_per_basis)
+    kv, coeffs = _transfer(act.knots, new_grid_size, act.coeffs)
     return SplineActivation(kv, coeffs, act.w_b, act.w_s)

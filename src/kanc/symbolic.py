@@ -133,9 +133,7 @@ def _score_grid(xs, ys, f: BasicFunction, a_vals, b_vals):
     return float(aa[best]), float(bb[best]), float(c[best]), float(d), float(r2[best])
 
 
-def fit_basic(xs, ys, f: BasicFunction, levels: int = FIT_LEVELS,
-              grid_points: int = FIT_GRID_POINTS,
-              search_range: float = FIT_RANGE) -> EdgeFit:
+def fit_basic(xs, ys, f: BasicFunction) -> EdgeFit:
     """Fit ``c * f(a x + b) + d`` by coarse-to-fine grid search over (a, b)
     with closed-form (c, d) at each candidate."""
     xs = np.asarray(xs, dtype=float).ravel()
@@ -146,24 +144,24 @@ def fit_basic(xs, ys, f: BasicFunction, levels: int = FIT_LEVELS,
         raise ValueError(f"need at least 8 samples, got {xs.size}")
     if np.ptp(ys) == 0.0:
         return EdgeFit(f.name, 1.0, 0.0, 0.0, float(ys[0]), 1.0)
-    a_vals = np.linspace(-search_range, search_range, grid_points)
-    b_vals = np.linspace(-search_range, search_range, grid_points)
+    a_vals = np.linspace(-FIT_RANGE, FIT_RANGE, FIT_GRID_POINTS)
+    b_vals = np.linspace(-FIT_RANGE, FIT_RANGE, FIT_GRID_POINTS)
     best = (1.0, 0.0, 0.0, float(ys.mean()), -np.inf)
-    half = search_range
-    for _ in range(levels):
+    half = FIT_RANGE
+    for _ in range(FIT_LEVELS):
         a, b, c, d, r2 = _score_grid(xs, ys, f, a_vals, b_vals)
         if r2 > best[4]:
             best = (a, b, c, d, r2)
-        half = half * (1.0 / (grid_points - 1)) * 2  # previous grid spacing
-        a_vals = np.linspace(best[0] - half, best[0] + half, grid_points)
-        b_vals = np.linspace(best[1] - half, best[1] + half, grid_points)
+        half = half * (1.0 / (FIT_GRID_POINTS - 1)) * 2  # previous grid spacing
+        a_vals = np.linspace(best[0] - half, best[0] + half, FIT_GRID_POINTS)
+        b_vals = np.linspace(best[1] - half, best[1] + half, FIT_GRID_POINTS)
     return EdgeFit(f.name, *best)
 
 
-def suggest(xs, ys, library=LIBRARY) -> list:
+def suggest(xs, ys) -> list:
     """All library fits for a sample set, best first; ties keep library
     order."""
-    fits = [fit_basic(xs, ys, f) for f in library]
+    fits = [fit_basic(xs, ys, f) for f in LIBRARY]
     return sorted(fits, key=lambda fit: -fit.r2)
 
 
@@ -180,14 +178,15 @@ def edge_ids(params: KanParams) -> list:
     return out
 
 
-def edge_samples(spec: NetworkSpec, params: KanParams, x_norm: np.ndarray,
-                 max_samples: int = MAX_FIT_SAMPLES) -> dict:
+def edge_samples(spec: NetworkSpec, params: KanParams,
+                 x_norm: np.ndarray) -> dict:
     """(input, output) sample pairs for every edge, propagated through the
-    current network; large batches are thinned to an even subsample."""
+    current network; batches above ``MAX_FIT_SAMPLES`` are thinned to an
+    even subsample."""
     x_norm = np.asarray(x_norm, dtype=float)
-    if x_norm.shape[0] > max_samples:
+    if x_norm.shape[0] > MAX_FIT_SAMPLES:
         keep = np.unique(np.linspace(0, x_norm.shape[0] - 1,
-                                     max_samples).round().astype(int))
+                                     MAX_FIT_SAMPLES).round().astype(int))
         x_norm = x_norm[keep]
     h = x_norm
     samples = {}
@@ -495,16 +494,7 @@ class SymbolicModel:
             return int(np.sum(~np.isfinite(self.eval(v_d, v_g))))
 
     def mape(self, dataset, split: str = "train") -> float:
-        xy = dataset.train_inputs() if split == "train" else dataset.test_inputs()
-        pred = self.eval(xy[:, 0], xy[:, 1])
-        if self.target == "I_D":
-            pred = np.exp(pred)
-            true = (dataset.train_field("I_D").ravel() if split == "train"
-                    else dataset.test_values("I_D"))
-            return evaluate.mape(pred, true)
-        true = (dataset.train_field(self.target).ravel() if split == "train"
-                else dataset.test_values(self.target))
-        return evaluate.mape_charge(pred, true)
+        return evaluate.split_mape(self, dataset, self.target, split)
 
 
 def _model_from_params(spec, params, target, fits, ablated=frozenset()):
@@ -523,24 +513,8 @@ def ablate_variable(model: SymbolicModel, var: str) -> SymbolicModel:
                               model.fits, frozenset(ablated))
 
 
-def network_mape(spec, params, dataset, target, split="train") -> float:
-    """Error of the (possibly partially pinned) network itself."""
-    xy = dataset.train_inputs() if split == "train" else dataset.test_inputs()
-    y = networks.kan_forward(spec, params,
-                             device.normalize_voltages(xy))
-    if target == "I_D":
-        true = (dataset.train_field("I_D").ravel() if split == "train"
-                else dataset.test_values("I_D"))
-        return evaluate.mape(np.exp(y), true)
-    true = (dataset.train_field(target).ravel() if split == "train"
-            else dataset.test_values(target))
-    return evaluate.mape_charge(y, true)
-
-
 def iterative_sr(ck: Checkpoint, dataset, k: int,
-                 retrain_epochs: int | None = None,
-                 lr: float | None = None, loss_weight: float = 100.0,
-                 library=LIBRARY, max_fit_samples: int = MAX_FIT_SAMPLES):
+                 retrain_epochs: int | None = None, lr: float | None = None):
     """Pin the k worst-matching edges per round, retrain the remainder,
     repeat until every edge is pinned.  Returns (SymbolicModel, rounds).
 
@@ -568,11 +542,11 @@ def iterative_sr(ck: Checkpoint, dataset, k: int,
                     if (e[1], e[2]) not in params.layers[e[0]].fixed]
         if not unpinned:
             break
-        samples = edge_samples(spec, params, x_norm, max_fit_samples)
+        samples = edge_samples(spec, params, x_norm)
         candidates = {}
         for e in unpinned:
             xs, ys = samples[e]
-            candidates[e] = suggest(xs, ys, library)[0]
+            candidates[e] = suggest(xs, ys)[0]
         ranked = sorted(unpinned, key=lambda e: (candidates[e].r2, e))
         chosen = ranked[:k]
         for e in chosen:
@@ -582,13 +556,14 @@ def iterative_sr(ck: Checkpoint, dataset, k: int,
         diverged = False
         if retrain_epochs > 0:
             params, retrain_losses, diverged = training.run_lbfgs_stage(
-                spec, params, dataset, target, retrain_epochs, lr,
-                loss_weight)
+                spec, params, dataset, target, retrain_epochs, lr)
         rounds.append({
             "round": len(rounds) + 1,
             "fixed": [(e, candidates[e].name, candidates[e].r2)
                       for e in chosen],
-            "train_mape": network_mape(spec, params, dataset, target),
+            # the network itself, pinned edges and all
+            "train_mape": evaluate.split_mape(Checkpoint(spec, params),
+                                              dataset, target),
             "retrain_epochs": len(retrain_losses),
             "diverged": diverged,
         })
@@ -604,9 +579,7 @@ def iterative_sr(ck: Checkpoint, dataset, k: int,
     return model, rounds
 
 
-def posthoc_sr(ck: Checkpoint, dataset, library=LIBRARY,
-               max_fit_samples: int = MAX_FIT_SAMPLES):
+def posthoc_sr(ck: Checkpoint, dataset):
     """One-shot baseline: pin every edge at once, no retraining."""
     n_edges = len(edge_ids(ck.params))
-    return iterative_sr(ck, dataset, k=n_edges, retrain_epochs=0,
-                        library=library, max_fit_samples=max_fit_samples)
+    return iterative_sr(ck, dataset, k=n_edges, retrain_epochs=0)

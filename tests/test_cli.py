@@ -218,6 +218,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("extra", [
         ("--sweep", "-1"),
+        ("--seed", "-1"),
         ("--epochs", "0"),
         ("--epochs", "-5"),
         ("--family", "kan", "--epochs", "4"),      # five ladder stages
@@ -259,6 +260,14 @@ class TestTrain:
                        f"[run]\nout_dir = {tmp_path / 'o'}\n")
         assert run("train", "--config", str(cfg)) == 2
         assert capsys.readouterr().err.startswith("error: lr must be")
+        assert not (tmp_path / "o").exists()
+
+    def test_config_unknown_target_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nfamily = mlp\ntarget = Q_X\n"
+                       f"[run]\nout_dir = {tmp_path / 'o'}\n")
+        assert run("train", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err.startswith("error: unknown target")
         assert not (tmp_path / "o").exists()
 
     def test_config_epochs_below_one_exit_2(self, tmp_path, capsys):
@@ -477,12 +486,14 @@ class TestSymbolic:
         assert f"not finite at {n_axis} points" in err
 
     def test_nan_constant_is_null(self, tmp_path, capsys):
-        """A checkpoint with a nan coefficient gives a formula with a nan
-        constant: formula.json writes it as null and stays strict JSON, and
-        stderr reports the non-finite points."""
+        """An edge whose samples overflow to both +inf and -inf gets a nan
+        offset, so the formula has a nan constant: formula.json writes it
+        as null and stays strict JSON, and stderr reports the non-finite
+        points."""
         spec = networks.NetworkSpec("kan", (2, 1), "charge-scale", grid=4)
         params = networks.init_params(spec, seed=0, grid_size=4)
-        params.layers[0].coeffs[0, 0, 2] = float("nan")
+        params.layers[0].coeffs[0, 0] = 1e308 * (-1.0) ** np.arange(7)
+        params.layers[0].w_s[0, 0] = 1e10
         path = tmp_path / "nan.txt"
         networks.save_checkpoint(networks.Checkpoint(
             spec, params, {"target": "Q_S", "seed": 0, "step_mv": 50}), path)

@@ -522,6 +522,34 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="pinned edge"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_array_rejected(self, bad, tmp_path):
+        spec = NetworkSpec("kan", (2, 1), "charge-scale", grid=3)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, init_params(spec, 0, grid_size=3),
+                                   {}), path)
+        lines = path.read_text().split("\n")
+        at = lines.index("array L0.coeffs 2 1 6") + 1
+        values = lines[at].split()
+        values[3] = bad
+        lines[at] = " ".join(values)
+        path.write_text("\n".join(lines))
+        with pytest.raises(CheckpointError, match="L0.coeffs"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_pinned_edge_rejected(self, bad, tmp_path):
+        spec = NetworkSpec("kan", (2, 1), "charge-scale", grid=3)
+        params = init_params(spec, seed=0, grid_size=3)
+        params.layers[0].fixed[(1, 0)] = FixedEdge("sin", 1.0, 0.0, 1.0, 0.0)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, params, {}), path)
+        text = path.read_text()
+        path.write_text(text.replace("fixed 0 1 0 sin 1.0 0.0 1.0 0.0",
+                                     f"fixed 0 1 0 sin 1.0 {bad} 1.0 0.0"))
+        with pytest.raises(CheckpointError, match="pinned edge"):
+            load_checkpoint(path)
+
     def test_dense_activation_other_than_tanh_rejected(self, tmp_path):
         spec = preset("mlp1", "Q_S")
         path = tmp_path / "ck.txt"

@@ -144,6 +144,18 @@ class TestTapeObjectives:
         assert g.shape == x0.shape
         assert np.all(np.isfinite(g))
 
+    @pytest.mark.parametrize("arch,target,n_nodes", [
+        ("kan1", "Q_S", 31), ("fkan1", "I_D", 53), ("mlp1", "I_D", 57),
+    ])
+    def test_grid_objective_node_counts(self, arch, target, n_nodes):
+        """The grid loss records one ``mean`` node per squared-error term
+        on top of the network's forward nodes."""
+        spec = networks.preset(arch, target)
+        obj = training.build_grid_objective(
+            spec, networks.init_params(spec, seed=1),
+            device.generate_dataset(50), target)
+        assert len(obj.tape.nodes) == n_nodes
+
     def test_objective_gradient_matches_finite_differences(self):
         ds = device.generate_dataset(50)
         spec = networks.preset("kan1", "Q_S")
