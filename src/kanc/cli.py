@@ -283,6 +283,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_derivs(args) -> int:
+    for vd in args.vd:
+        _check_range("--vd", vd, lambda v: 0.0 <= v <= device.V_MAX,
+                     f"in [0, {device.V_MAX}]")
     ck = networks.load_checkpoint(args.checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []

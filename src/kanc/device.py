@@ -224,7 +224,7 @@ def save_dataset(dataset: VoltageGridDataset, path) -> None:
     mask = dataset.train_mask
     vd, vg = np.meshgrid(dataset.vd_axis, dataset.vg_axis, indexing="ij")
     f = dataset.fields
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for split, sel in (("train", mask), ("test", ~mask)):
@@ -247,19 +247,26 @@ def load_dataset(path) -> VoltageGridDataset:
     nums = np.empty((n * n, 6))
     is_train = np.empty(n * n, dtype=bool)
     count = 0
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != CSV_HEADER:
-            raise ValueError("unexpected header; expected " + ",".join(CSV_HEADER))
-        for line, r in enumerate(reader, start=2):
-            if len(r) != len(CSV_HEADER) or r[6] not in ("train", "test"):
-                raise ValueError(f"line {line} does not hold {len(CSV_HEADER)} "
-                                 "columns ending in 'train' or 'test'")
-            if count == n * n:
-                raise ValueError(f"lattice has more rows than its {n * n} points")
-            nums[count] = [float(v) for v in r[:6]]
-            is_train[count] = r[6] == "train"
-            count += 1
+        try:
+            if next(reader, None) != CSV_HEADER:
+                raise ValueError("unexpected header; expected "
+                                 + ",".join(CSV_HEADER))
+            for line, r in enumerate(reader, start=2):
+                if len(r) != len(CSV_HEADER) or r[6] not in ("train", "test"):
+                    raise ValueError(f"line {line} does not hold "
+                                     f"{len(CSV_HEADER)} columns ending in "
+                                     "'train' or 'test'")
+                if count == n * n:
+                    raise ValueError(
+                        f"lattice has more rows than its {n * n} points")
+                nums[count] = [float(v) for v in r[:6]]
+                is_train[count] = r[6] == "train"
+                count += 1
+        except csv.Error as exc:
+            # a stray quote opens a field that can run to the end of the file
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
     if count != n * n:
         raise ValueError(f"lattice has {count} of its {n * n} points")
     point_mv = np.rint(nums[:, :2] * 1000)

@@ -9,18 +9,21 @@ rebuilding graphs per epoch.  Nodes that depend on no leaf (the constant input g
 computed from it alone) are evaluated on the first forward pass and reused
 after that, and the backward pass sends no adjoint into them.
 
-A Fourier edge layer is one ``fourier`` node.  Its tables of ``cos(k h)``
-and ``sin(k h)`` come from :func:`fourier_tables`, which takes a single
-``np.cos``/``np.sin`` pair of ``h`` and builds the higher frequencies by
-angle addition.  A spline edge layer is one ``kan_layer`` node.  It works
-on the ``order + 1`` local basis rows of :func:`splines._local_basis`, one
-kernel call per input column, and builds no dense basis matrix.
+A Fourier edge layer is one ``fourier`` node, its bias included.  Its
+tables of ``cos(k h)`` and ``sin(k h)`` come from :func:`fourier_tables`,
+which takes a single ``np.cos``/``np.sin`` pair of ``h`` and builds the
+higher frequencies by angle addition.  They are held feature-major, as one
+(2, grid, n_in, N) buffer (:func:`fourier_table`), so the forward, the
+weight adjoint and the input adjoint are each one BLAS call over it.  A
+spline edge layer is one ``kan_layer`` node.  It works on the
+``order + 1`` local basis rows of :func:`splines._local_basis`, one kernel
+call per input column, and builds no dense basis matrix.
 
 The working arrays a layer node's forward builds for its backward live in
 one scratch entry per node.  Arrays that depend only on the node's input
-(the Fourier tables; the local basis and ``silu`` of each input column)
-are kept across passes while that input is fixed and rebuilt otherwise,
-the Fourier tables in place.  The per-edge spline values live for one pass.
+(the Fourier table; the local basis and ``silu`` of each input column) are
+kept across passes while that input is fixed and rebuilt otherwise, the
+Fourier table in place.  The per-edge spline values live for one pass.
 """
 
 from __future__ import annotations
@@ -99,17 +102,28 @@ def fourier_tables(h: np.ndarray, grid: int, out=None):
     return C, S
 
 
-def fourier_sum(C: np.ndarray, S: np.ndarray, cos_w: np.ndarray,
-                sin_w: np.ndarray) -> np.ndarray:
-    """Fourier layer output ``sum_k C[k] @ cos_w[:, :, k].T + S[k] @
-    sin_w[:, :, k].T`` for (grid, N, n_in) tables and (n_out, n_in, grid)
-    weights; the result is (N, n_out)."""
-    out = np.zeros((C.shape[1], cos_w.shape[0]))
-    tmp = np.empty_like(out)
-    for k in range(C.shape[0]):
-        out += np.matmul(C[k], cos_w[:, :, k].T, out=tmp)
-        out += np.matmul(S[k], sin_w[:, :, k].T, out=tmp)
+def fourier_table(h: np.ndarray, grid: int, out=None) -> np.ndarray:
+    """Feature-major table ``P`` of an (N, n_in) input, shape
+    (2, grid, n_in, N): ``P[0, k-1] = cos(k h).T`` and ``P[1, k-1] =
+    sin(k h).T``, filled by :func:`fourier_tables` on ``h.T``.  ``out`` is
+    an optional table of that shape to fill in place."""
+    if out is None:
+        out = np.empty((2, grid) + h.shape[::-1])
+    fourier_tables(h.T, grid, out=(out[0], out[1]))
     return out
+
+
+def fourier_sum(P: np.ndarray, cos_w: np.ndarray, sin_w: np.ndarray,
+                bias: np.ndarray) -> np.ndarray:
+    """Fourier layer output ``bias + sum_{i,k} cos_w[:, i, k] cos(k h_i) +
+    sin_w[:, i, k] sin(k h_i)`` from a :func:`fourier_table` ``P`` and
+    (n_out, n_in, grid) weights, as one GEMM over the (2 grid n_in, N)
+    table; the result is (N, n_out)."""
+    # the weights in the row order of P: (n_out, 2, grid, n_in), flattened
+    w = np.stack((cos_w, sin_w), axis=1).transpose(0, 1, 3, 2)
+    out = w.reshape(w.shape[0], -1) @ P.reshape(-1, P.shape[-1])
+    out += bias[:, None]
+    return out.T
 
 
 class Tape:
@@ -196,11 +210,11 @@ class Tape:
         """Column ``i`` of a 2-D node, as an (N,) node."""
         return self._push(Node("column", (h,), int(i)))
 
-    def fourier(self, h, cos_w, sin_w):
+    def fourier(self, h, cos_w, sin_w, bias):
         """Fourier edge layer (see :func:`fourier_sum`) on an (N, n_in)
-        input ``h`` with (n_out, n_in, grid) weights; differentiable in all
-        three."""
-        return self._push(Node("fourier", (h, cos_w, sin_w)))
+        input ``h`` with (n_out, n_in, grid) weights and an (n_out,) bias;
+        differentiable in all four."""
+        return self._push(Node("fourier", (h, cos_w, sin_w, bias)))
 
     def sum(self, a):
         return self._push(Node("sum", (a,)))
@@ -259,15 +273,14 @@ class Tape:
                 elif op == "cos":
                     val = np.cos(v[a[0]])
                 elif op == "fourier":
-                    cos_w, sin_w = v[a[1]], v[a[2]]
-                    tables = self._scratch.get(idx)
-                    if tables is None or not fixed[a[0]]:
-                        # refilled in place: fresh multi-megabyte tables on
-                        # every pass cost more in page faults than the angle
-                        # additions that fill them
-                        tables = self._scratch[idx] = fourier_tables(
-                            v[a[0]], cos_w.shape[2], out=tables)
-                    val = fourier_sum(*tables, cos_w, sin_w)
+                    P = self._scratch.get(idx)
+                    if P is None or not fixed[a[0]]:
+                        # refilled in place: a fresh multi-megabyte table on
+                        # every pass costs more in page faults than the angle
+                        # additions that fill it
+                        P = self._scratch[idx] = fourier_table(
+                            v[a[0]], v[a[1]].shape[2], out=P)
+                    val = fourier_sum(P, v[a[1]], v[a[2]], v[a[3]])
                 elif op == "tanh":
                     val = np.tanh(v[a[0]])
                 elif op == "atan":
@@ -360,21 +373,29 @@ class Tape:
                     accumulate(a[0], -g * np.sin(v[a[0]]))
                 elif op == "fourier":
                     cos_w, sin_w = v[a[1]], v[a[2]]
-                    C, S = self._scratch[idx]
-                    if live[a[1]]:
-                        accumulate(a[1], np.stack([g.T @ c for c in C], axis=2))
-                    if live[a[2]]:
-                        accumulate(a[2], np.stack([g.T @ s for s in S], axis=2))
+                    n_out, n_in, grid = cos_w.shape
+                    P = self._scratch[idx]              # (2, grid, n_in, N)
+                    g_rows = g.T                        # (n_out, N)
+                    if live[a[1]] or live[a[2]]:
+                        dw = (g_rows @ P.reshape(-1, P.shape[-1]).T).reshape(
+                            n_out, 2, grid, n_in).transpose(1, 0, 3, 2)
+                        accumulate(a[1], dw[0])
+                        accumulate(a[2], dw[1])
+                    if live[a[3]]:
+                        accumulate(a[3], g.sum(axis=0))
                     if live[a[0]]:
-                        # d cos(kh)/dh = -k sin(kh), d sin(kh)/dh = k cos(kh)
-                        dh = np.zeros(C.shape[1:])
-                        tmp = np.empty_like(dh)
-                        for k in range(C.shape[0]):
-                            np.matmul(g, (k + 1) * sin_w[:, :, k], out=tmp)
-                            dh += np.multiply(tmp, C[k], out=tmp)
-                            np.matmul(g, (k + 1) * cos_w[:, :, k], out=tmp)
-                            dh -= np.multiply(tmp, S[k], out=tmp)
-                        accumulate(a[0], dh)
+                        # d cos(kh)/dh = -k sin(kh), d sin(kh)/dh = k cos(kh),
+                        # so the cos rows of P take k sin_w and the sin rows
+                        # -k cos_w; one (n_out, 2 grid) @ (2 grid, N) product
+                        # per input column, then scaled by g and summed over
+                        # outputs
+                        k = np.arange(1.0, grid + 1.0)
+                        swapped = np.stack((sin_w * k, cos_w * -k), axis=2)
+                        per_col = np.matmul(
+                            swapped.transpose(1, 0, 2, 3).reshape(n_in, n_out, -1),
+                            P.transpose(2, 0, 1, 3).reshape(n_in, 2 * grid, -1))
+                        per_col *= g_rows
+                        accumulate(a[0], per_col.sum(axis=1).T)
                 elif op == "tanh":
                     accumulate(a[0], g * (1.0 - v[idx] ** 2))
                 elif op == "atan":

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device, splines
-from .diffengine import Tape, fourier_sum, fourier_tables
+from .diffengine import Tape, fourier_sum, fourier_table
 
 CONVERSIONS = ("exp-current", "charge-scale")
 KINDS = ("mlp", "kan", "fkan", "oracle")
@@ -305,8 +305,8 @@ def kan_forward(spec: NetworkSpec, params: KanParams, x, record: bool = False):
 def fkan_forward(spec: NetworkSpec, params: FkanParams, x):
     h, single = _as_batch(x)
     for layer in params.layers:
-        C, S = fourier_tables(h, layer.grid)
-        h = fourier_sum(C, S, layer.cos_coef, layer.sin_coef) + layer.bias[None, :]
+        h = fourier_sum(fourier_table(h, layer.grid), layer.cos_coef,
+                        layer.sin_coef, layer.bias)
     out = h[:, 0]
     return float(out[0]) if single else out
 
@@ -424,7 +424,7 @@ def build_forward_tape(tape: Tape, spec: NetworkSpec, params, x_const: np.ndarra
             if l < spec.n_layers - 1:
                 h = tape.tanh(h)
         elif spec.kind == "fkan":
-            h = tape.add(tape.fourier(h, arrays[0], arrays[1]), arrays[2])
+            h = tape.fourier(h, *arrays)
         else:
             from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
 

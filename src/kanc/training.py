@@ -153,16 +153,14 @@ def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
         i_model = tape.exp(y)
         total = tape.mul(tape.const(weight), _tape_mse(tape, i_model, i_data))
         total = tape.add(total, _tape_mse(tape, y, log_current_targets(i_data)))
+        di_dvg = tape.matmul(i_model, d_t)
+        di_dvd = tape.matmul(d_m, i_model)
+        total = tape.add(total, _tape_mse(tape, di_dvg, i_data @ d.T))
+        total = tape.add(total, _tape_mse(tape, di_dvd, d @ i_data))
         total = tape.add(total, _tape_mse(
-            tape, tape.matmul(i_model, d_t), i_data @ d.T))
+            tape, tape.matmul(di_dvg, d_t), (i_data @ d.T) @ d.T))
         total = tape.add(total, _tape_mse(
-            tape, tape.matmul(d_m, i_model), d @ i_data))
-        total = tape.add(total, _tape_mse(
-            tape, tape.matmul(tape.matmul(i_model, d_t), d_t),
-            (i_data @ d.T) @ d.T))
-        total = tape.add(total, _tape_mse(
-            tape, tape.matmul(d_m, tape.matmul(d_m, i_model)),
-            d @ (d @ i_data)))
+            tape, tape.matmul(d_m, di_dvd), d @ (d @ i_data)))
     else:
         q_data = dataset.train_field(target)
         total = _tape_mse(tape, y, q_data)

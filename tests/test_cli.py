@@ -403,6 +403,27 @@ class TestDerivs:
         assert (out / "deriv_vd0.3.csv").exists()
         assert not (out / "deriv_vd0.4.csv").exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "5", "-0.01", "0.83"])
+    def test_bias_outside_the_grid_exits_2_and_writes_nothing(
+            self, tmp_path, capsys, bad):
+        """Each drain bias must be finite and in [0, V_MAX]; one bad value
+        among good ones rejects the whole command before any file exists."""
+        ck_path = oracle_checkpoint_file(tmp_path)
+        out = tmp_path / "d"
+        assert run("derivs", "--checkpoint", ck_path, "--vd", "0.3", bad,
+                   "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: --vd")
+        assert not out.exists()
+
+    def test_bias_at_both_ends_of_the_grid(self, tmp_path):
+        ck_path = oracle_checkpoint_file(tmp_path)
+        out = tmp_path / "d"
+        assert run("derivs", "--checkpoint", ck_path, "--vd", "0", "0.82",
+                   "--out-dir", str(out)) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "deriv_vd0.82.csv", "deriv_vd0.csv", "manifest.json"]
+
 
 class TestSymbolic:
     def test_iterative_round_log(self, tmp_path):

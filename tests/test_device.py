@@ -1,9 +1,14 @@
 """Tests for the surrogate device and voltage-grid datasets."""
 
+import functools
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kanc import device
@@ -245,8 +250,85 @@ class TestPersistence:
         with pytest.raises(ValueError, match="not finite"):
             load_dataset(path)
 
+    def test_rejects_stray_quote(self, tmp_path):
+        """An unclosed quote that runs past the csv field limit is a
+        ValueError too, not the csv module's own error."""
+        path = self.edited(tmp_path, lambda ls: ['"' + ls[0]] + ls[1:])
+        with pytest.raises(ValueError, match="line"):
+            load_dataset(path)
+
     def test_rejects_split_that_contradicts_the_lattice(self, tmp_path):
         path = self.edited(tmp_path, lambda ls: [ls[0].replace("train", "test")]
                            + ls[1:])
         with pytest.raises(ValueError, match="wrong split"):
             load_dataset(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _saved_lines() -> tuple:
+    """The lines (as bytes, without their ends) of one saved 50 mV
+    dataset, written once per session."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "grid.csv")
+        save_dataset(generate_dataset(50), path)
+        with open(path, "rb") as fh:
+            return tuple(fh.read().splitlines())
+
+
+class TestPersistenceProperties:
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(device.TRAIN_STEPS_MV), st.integers(0, 2**32 - 1),
+           st.lists(st.tuples(st.sampled_from(device.FIELD_NAMES),
+                              st.integers(0, 165 * 165 - 1),
+                              st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=8))
+    def test_round_trip_is_bitwise(self, step, seed, specials):
+        """Field values of any sign and magnitude, subnormals and -0.0
+        among them, come back bit for bit with the same split."""
+        rng = np.random.default_rng(seed)
+        ds = generate_dataset(step)
+        for name in device.FIELD_NAMES:
+            ds.fields[name] = (rng.normal(size=(165, 165))
+                               * 10.0 ** rng.integers(-320, 300, size=(165, 165)))
+        for name, at, value in specials:
+            ds.fields[name].flat[at] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.csv")
+            save_dataset(ds, path)
+            back = load_dataset(path)
+        assert back.step_mv == step
+        assert np.array_equal(back.train_mask, ds.train_mask)
+        for name in device.FIELD_NAMES:
+            assert np.array_equal(back.fields[name].view(np.int64),
+                                  ds.fields[name].view(np.int64)), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(["drop", "duplicate", "truncate", "nul", "quote",
+                            "utf8", "header_only"]), st.data())
+    def test_fuzzed_file_raises_only_value_error(self, edit, data):
+        """A line dropped, duplicated or truncated, a NUL byte, a stray
+        quote or an invalid UTF-8 sequence anywhere, or a file of only the
+        header, is rejected with ValueError (so ``kanc eval --data`` exits
+        2), never another exception."""
+        lines = list(_saved_lines())
+        at = data.draw(st.integers(0, len(lines) - 1))
+        cut = data.draw(st.integers(0, len(lines[at]) - 1))
+        if edit == "drop":
+            del lines[at]
+        elif edit == "duplicate":
+            lines.insert(at, lines[at])
+        elif edit == "truncate":
+            lines[at] = lines[at][:cut]
+        elif edit == "header_only":
+            lines = lines[:1]
+        else:
+            junk = {"nul": b"\x00", "quote": b'"',
+                    "utf8": data.draw(st.sampled_from(
+                        [b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x80"]))}[edit]
+            lines[at] = lines[at][:cut] + junk + lines[at][cut:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "grid.csv")
+            with open(path, "wb") as fh:
+                fh.write(b"\n".join(lines) + b"\n")
+            with pytest.raises(ValueError):
+                load_dataset(path)

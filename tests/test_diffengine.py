@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from kanc import diffengine, splines
 from kanc.diffengine import (EvaluationError, Tape, fourier_sum,
-                             fourier_tables, grad_check)
+                             fourier_table, fourier_tables, grad_check)
 
 
 class TestForward:
@@ -199,60 +199,97 @@ class TestFourierPrimitive:
         assert np.abs(C - np.cos(k * h)).max() <= 1e-13
         assert np.abs(S - np.sin(k * h)).max() <= 1e-13
 
+    def test_feature_major_table(self):
+        """``fourier_table`` holds the cos rows, then the sin rows, each
+        (grid, n_in, N), with the values of ``fourier_tables``."""
+        h = np.random.default_rng(20).normal(size=(50, 3))
+        C, S = fourier_tables(h, 4)
+        P = fourier_table(h, 4)
+        assert P.shape == (2, 4, 3, 50) and P.flags.c_contiguous
+        assert_array_equal(P[0], C.transpose(0, 2, 1))
+        assert_array_equal(P[1], S.transpose(0, 2, 1))
+
     def test_value_matches_direct_sum(self):
         rng = np.random.default_rng(22)
         h = rng.normal(size=(30, 3))
         cos_w = rng.normal(size=(4, 3, 5))
         sin_w = rng.normal(size=(4, 3, 5))
+        bias = rng.normal(size=4)
         tape = Tape()
-        tape.fourier(tape.const(h), tape.const(cos_w), tape.const(sin_w))
+        tape.fourier(tape.const(h), tape.const(cos_w), tape.const(sin_w),
+                     tape.const(bias))
         k = np.arange(1, 6, dtype=float)
         ang = h[:, :, None] * k                       # (N, n_in, grid)
         direct = (np.einsum("nik,oik->no", np.cos(ang), cos_w)
-                  + np.einsum("nik,oik->no", np.sin(ang), sin_w))
+                  + np.einsum("nik,oik->no", np.sin(ang), sin_w) + bias)
         assert_allclose(tape.forward({}), direct, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("n_in,n_out,grid", [(8, 8, 2), (2, 8, 8), (8, 1, 8)])
     def test_gradcheck_with_leaf_input(self, n_in, n_out, grid):
-        """Adjoints of input and both weight tables agree with central
-        differences on the layer shapes of the Fourier presets.  Inputs keep
-        every angle k h in (0, pi/2) and the output weights are positive, so
-        no weight gradient is a near-cancelling sum that central differences
-        cannot resolve to 1e-6."""
+        """Adjoints of input, both weight tables and the bias agree with
+        central differences on the layer shapes of the Fourier presets.
+        Inputs keep every angle k h in (0, pi/2) and the output weights are
+        positive, so no weight gradient is a near-cancelling sum that
+        central differences cannot resolve to 1e-6."""
         rng = np.random.default_rng(23)
         tape = Tape()
         h = tape.leaf("h", (6, n_in))
         cw = tape.leaf("cw", (n_out, n_in, grid))
         sw = tape.leaf("sw", (n_out, n_in, grid))
-        out = tape.fourier(h, cw, sw)
+        b = tape.leaf("b", (n_out,))
+        out = tape.fourier(h, cw, sw, b)
         tape.sum(tape.mul(out, tape.const(rng.uniform(0.5, 1.5, size=(6, n_out)))))
         leaves = {"h": rng.uniform(0.05, 1.5 / grid, size=(6, n_in)),
                   "cw": rng.normal(size=(n_out, n_in, grid)),
-                  "sw": rng.normal(size=(n_out, n_in, grid))}
+                  "sw": rng.normal(size=(n_out, n_in, grid)),
+                  "b": rng.normal(size=n_out)}
         assert grad_check(tape, leaves, step=1e-6) < 1e-6
 
     def test_fixed_input_tables_built_once(self, monkeypatch):
-        """A constant input gets its tables on the first pass only, and no
+        """A constant input gets its table on the first pass only, and no
         adjoint flows into it."""
         rng = np.random.default_rng(24)
         h = rng.normal(size=(10, 2))
         tape = Tape()
         cw = tape.leaf("cw", (3, 2, 4))
         sw = tape.leaf("sw", (3, 2, 4))
-        tape.sum(tape.fourier(tape.const(h), cw, sw))
+        b = tape.leaf("b", (3,))
+        tape.sum(tape.fourier(tape.const(h), cw, sw, b))
         calls = []
         real_cos = np.cos
         monkeypatch.setattr(diffengine.np, "cos",
                             lambda a, **kw: calls.append(1) or real_cos(a, **kw))
-        C, S = fourier_tables(h, 4)
+        P = fourier_table(h, 4)
         calls.clear()
         for scale in (1.0, 2.0):
             w = np.full((3, 2, 4), scale)
-            assert tape.forward({"cw": w, "sw": w}) == fourier_sum(C, S, w, w).sum()
+            bias = np.full(3, scale)
+            assert (tape.forward({"cw": w, "sw": w, "b": bias})
+                    == fourier_sum(P, w, w, bias).sum())
             grads = tape.backward()
-            assert_allclose(grads["cw"], np.broadcast_to(C.sum(axis=1).T, (3, 2, 4)),
+            assert_allclose(grads["cw"],
+                            np.broadcast_to(P[0].sum(axis=2).T, (3, 2, 4)),
                             rtol=1e-14)
+            assert_array_equal(grads["b"], np.full(3, 10.0))
         assert len(calls) == 1
+
+    def test_live_input_table_refilled_in_place(self):
+        """A node whose input depends on a leaf keeps one table buffer and
+        refills it on every pass."""
+        rng = np.random.default_rng(25)
+        tape = Tape()
+        h = tape.leaf("h", (7, 2))
+        node = tape.fourier(h, tape.const(rng.normal(size=(3, 2, 4))),
+                            tape.const(rng.normal(size=(3, 2, 4))),
+                            tape.const(np.zeros(3)))
+        tape.sum(node)
+        tables = []
+        for _ in range(2):
+            x = rng.normal(size=(7, 2))
+            tape.forward({"h": x})
+            tables.append(tape._scratch[node])
+            assert_array_equal(tables[-1], fourier_table(x, 4))
+        assert tables[0] is tables[1]
 
 
 class TestGradCheck:

@@ -236,6 +236,7 @@ class TestTapeBuilders:
         ops = [node.op for node in tape.nodes]
         assert ops.count("fourier") == 2
         assert "sin" not in ops and "cos" not in ops
+        assert "add" not in ops        # the bias is inside the op
 
     @pytest.mark.parametrize("name", ["fkan1", "fkan2"])
     def test_fkan_trig_calls_per_pass(self, name, monkeypatch):
