@@ -233,7 +233,7 @@ def cmd_train(args) -> int:
     inputs = [args.config] if args.config else []
     outputs = []
     if args.sweep:
-        rows = training.seed_sweep(cfg, args.sweep).rows
+        rows = training.seed_sweep(cfg, args.sweep)
         for r in rows:
             ck_name = f"checkpoint_seed{r['seed']}.txt"
             log_name = f"trainlog_seed{r['seed']}.csv"

@@ -9,6 +9,11 @@ rebuilding graphs per epoch.  Nodes that depend on no leaf (the constant input g
 computed from it alone) are evaluated on the first forward pass and reused
 after that, and the backward pass sends no adjoint into them.
 
+Every elementwise function is one row of :data:`ELEMENTWISE`, its numpy
+function and its adjoint, and one ``call`` op applies any row; the
+symbolic primitives (:mod:`kanc.symbolic`) read the same table, so the
+tape, the fit and the formula evaluate each function the same way.
+
 A Fourier edge layer is one ``fourier`` node, its bias included.  Its
 tables of ``cos(k h)`` and ``sin(k h)`` come from :func:`fourier_tables`,
 which takes a single ``np.cos``/``np.sin`` pair of ``h`` and builds the
@@ -77,6 +82,20 @@ def _power(x, p: float):
         r = 1.0 / x
         return r * r * r
     return x ** p
+
+
+# The ``call`` op's functions: name -> (numpy function, adjoint(g, x, y)),
+# where ``g`` is the output adjoint, ``x`` the argument and ``y`` the value.
+ELEMENTWISE = {
+    "exp": (np.exp, lambda g, x, y: g * y),
+    "log": (np.log, lambda g, x, y: g / x),
+    "sin": (np.sin, lambda g, x, y: g * np.cos(x)),
+    "cos": (np.cos, lambda g, x, y: -g * np.sin(x)),
+    "tan": (np.tan, lambda g, x, y: g * (1.0 + y ** 2)),
+    "tanh": (np.tanh, lambda g, x, y: g * (1.0 - y ** 2)),
+    "atan": (np.arctan, lambda g, x, y: g / (1.0 + x ** 2)),
+    "abs": (np.abs, lambda g, x, y: g * np.sign(x)),
+}
 
 
 def fourier_tables(h: np.ndarray, grid: int, out=None):
@@ -174,26 +193,11 @@ class Tape:
     def pow(self, a, exponent: float):
         return self._push(Node("pow", (a,), float(exponent)))
 
-    def exp(self, a):
-        return self._push(Node("exp", (a,)))
-
-    def log(self, a):
-        return self._push(Node("log", (a,)))
-
-    def sin(self, a):
-        return self._push(Node("sin", (a,)))
-
-    def cos(self, a):
-        return self._push(Node("cos", (a,)))
-
-    def tanh(self, a):
-        return self._push(Node("tanh", (a,)))
-
-    def atan(self, a):
-        return self._push(Node("atan", (a,)))
-
-    def absval(self, a):
-        return self._push(Node("abs", (a,)))
+    def call(self, a, name: str):
+        """The :data:`ELEMENTWISE` function ``name`` applied to node ``a``."""
+        if name not in ELEMENTWISE:
+            raise ValueError(f"unknown elementwise function {name!r}")
+        return self._push(Node("call", (a,), name))
 
     def kan_layer(self, h, coeffs, w_b, w_s, bias, kv: splines.KnotVector,
                   pinned: dict):
@@ -264,14 +268,8 @@ class Tape:
                     val = v[a[0]] @ v[a[1]]
                 elif op == "pow":
                     val = _power(v[a[0]], node.aux)
-                elif op == "exp":
-                    val = np.exp(v[a[0]])
-                elif op == "log":
-                    val = np.log(v[a[0]])
-                elif op == "sin":
-                    val = np.sin(v[a[0]])
-                elif op == "cos":
-                    val = np.cos(v[a[0]])
+                elif op == "call":
+                    val = ELEMENTWISE[node.aux][0](v[a[0]])
                 elif op == "fourier":
                     P = self._scratch.get(idx)
                     if P is None or not fixed[a[0]]:
@@ -281,12 +279,6 @@ class Tape:
                         P = self._scratch[idx] = fourier_table(
                             v[a[0]], v[a[1]].shape[2], out=P)
                     val = fourier_sum(P, v[a[1]], v[a[2]], v[a[3]])
-                elif op == "tanh":
-                    val = np.tanh(v[a[0]])
-                elif op == "atan":
-                    val = np.arctan(v[a[0]])
-                elif op == "abs":
-                    val = np.abs(v[a[0]])
                 elif op == "kan_layer":
                     val = self._kan_layer(idx, node)
                 elif op == "column":
@@ -363,14 +355,8 @@ class Tape:
                 elif op == "pow":
                     p = node.aux
                     accumulate(a[0], g * p * _power(v[a[0]], p - 1.0))
-                elif op == "exp":
-                    accumulate(a[0], g * v[idx])
-                elif op == "log":
-                    accumulate(a[0], g / v[a[0]])
-                elif op == "sin":
-                    accumulate(a[0], g * np.cos(v[a[0]]))
-                elif op == "cos":
-                    accumulate(a[0], -g * np.sin(v[a[0]]))
+                elif op == "call":
+                    accumulate(a[0], ELEMENTWISE[node.aux][1](g, v[a[0]], v[idx]))
                 elif op == "fourier":
                     cos_w, sin_w = v[a[1]], v[a[2]]
                     n_out, n_in, grid = cos_w.shape
@@ -396,12 +382,6 @@ class Tape:
                             P.transpose(2, 0, 1, 3).reshape(n_in, 2 * grid, -1))
                         per_col *= g_rows
                         accumulate(a[0], per_col.sum(axis=1).T)
-                elif op == "tanh":
-                    accumulate(a[0], g * (1.0 - v[idx] ** 2))
-                elif op == "atan":
-                    accumulate(a[0], g / (1.0 + v[a[0]] ** 2))
-                elif op == "abs":
-                    accumulate(a[0], g * np.sign(v[a[0]]))
                 elif op == "kan_layer":
                     for arg, adjoint in zip(a, self._kan_layer_adjoints(
                             idx, node, g, live[a[0]])):

@@ -288,17 +288,11 @@ def kan_layer_outputs(layer: KanLayer, h: np.ndarray) -> np.ndarray:
     return edges
 
 
-def kan_forward(spec: NetworkSpec, params: KanParams, x, record: bool = False):
+def kan_forward(spec: NetworkSpec, params: KanParams, x):
     h, single = _as_batch(x)
-    recorded = []
     for layer in params.layers:
-        edges = kan_layer_outputs(layer, h)
-        if record:
-            recorded.append(edges)
-        h = edges.sum(axis=1) + layer.bias[None, :]
+        h = kan_layer_outputs(layer, h).sum(axis=1) + layer.bias[None, :]
     out = h[:, 0]
-    if record:
-        return (float(out[0]) if single else out), recorded
     return float(out[0]) if single else out
 
 
@@ -398,31 +392,21 @@ def set_leaf_values(spec: NetworkSpec, params, vals: dict):
     return params
 
 
-def build_forward_tape(tape: Tape, spec: NetworkSpec, params, x_const: np.ndarray,
-                       leaves: dict | None = None) -> int:
-    """Record the network forward pass on ``tape`` for a fixed input batch.
-
-    Returns the index of the (N,) output node.  ``leaves`` maps leaf name to
-    node index and is filled in; pass a dict to share leaves across calls.
-    """
+def build_forward_tape(tape: Tape, spec: NetworkSpec, params,
+                       x_const: np.ndarray) -> int:
+    """Record the network forward pass on ``tape`` for a fixed input batch,
+    with one leaf per :func:`leaf_values` entry.  Returns the index of the
+    (N,) output node."""
     if spec.kind not in ("mlp", "kan", "fkan"):
         raise ValueError(f"no tape builder for kind {spec.kind!r}")
-    if leaves is None:
-        leaves = {}
-
-    def get_leaf(name, shape):
-        if name not in leaves:
-            leaves[name] = tape.leaf(name, shape)
-        return leaves[name]
-
     h = tape.const(x_const)
     for l in range(spec.n_layers):
-        arrays = [get_leaf(name, arr.shape)
+        arrays = [tape.leaf(name, arr.shape)
                   for name, arr in _layer_arrays(spec, params, l)]
         if spec.kind == "mlp":
             h = tape.add(tape.matmul(h, arrays[0]), arrays[1])
             if l < spec.n_layers - 1:
-                h = tape.tanh(h)
+                h = tape.call(h, "tanh")
         elif spec.kind == "fkan":
             h = tape.fourier(h, *arrays)
         else:
@@ -433,16 +417,16 @@ def build_forward_tape(tape: Tape, spec: NetworkSpec, params, x_const: np.ndarra
             for (i, j), fx in sorted(layer.fixed.items()):
                 if i not in cols:
                     cols[i] = tape.column(h, i)
-                a, b, c, d = (get_leaf(n, ()) for n in _fix_names(l, i, j))
+                a, b, c, d = (tape.leaf(n) for n in _fix_names(l, i, j))
                 inner = tape.add(tape.mul(cols[i], a), b)
-                body = LIBRARY_BY_NAME[fx.name].tape_builder(tape, inner)
+                body = LIBRARY_BY_NAME[fx.name].build(tape, inner)
                 pinned[i, j] = tape.add(tape.mul(body, c), d)
             h = tape.kan_layer(h, *arrays, layer.knots, pinned)
     return tape.reshape(h, (x_const.shape[0],))
 
 
 # ----------------------------------------------------------------------
-# refinement and attribution
+# refinement
 # ----------------------------------------------------------------------
 
 def refine_kan(params: KanParams, new_grid_size: int) -> KanParams:
@@ -461,28 +445,6 @@ def refine_kan(params: KanParams, new_grid_size: int) -> KanParams:
             fixed=dict(layer.fixed),
         ))
     return KanParams(new_layers)
-
-
-def attribution(spec: NetworkSpec, params: KanParams, x: np.ndarray) -> list:
-    """Importance scores from edge-output variation over a batch.
-
-    Per layer: edge score = std of the edge output, normalized by the layer
-    maximum (all-zero layers stay zero); node score = max over its outgoing
-    edges.  Returns a list of dicts with "edges" (n_in, n_out) and "nodes"
-    (n_in,) arrays.
-    """
-    if spec.kind != "kan":
-        raise ValueError("attribution applies to spline networks")
-    _, recorded = kan_forward(spec, params, np.asarray(x, dtype=float),
-                              record=True)
-    out = []
-    for edges in recorded:
-        score = edges.std(axis=0)
-        top = score.max()
-        if top > 0:
-            score = score / top
-        out.append({"edges": score, "nodes": score.max(axis=1)})
-    return out
 
 
 # ----------------------------------------------------------------------

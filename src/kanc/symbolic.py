@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device, evaluate, networks, training
-from .diffengine import _power
+from .diffengine import ELEMENTWISE, _power
 from .networks import Checkpoint, FixedEdge, KanParams, NetworkSpec
 
 FIT_GRID_POINTS = 21
@@ -35,56 +35,43 @@ SCORE_BLOCK = 64
 
 @dataclass(frozen=True)
 class BasicFunction:
+    """A library primitive: a power of its argument (``form`` is the
+    exponent) or a function of ``diffengine.ELEMENTWISE`` (``form`` is its
+    name).  Its numpy value, tape nodes and expression all follow from
+    ``form``."""
+
     name: str
-    fn: object                 # numpy-vectorized callable
-    tape_builder: object       # (tape, node) -> node
+    form: float | str
+
+    def fn(self, x):
+        """numpy value at ``x``, with numpy's warnings left on."""
+        if isinstance(self.form, str):
+            return ELEMENTWISE[self.form][0](x)
+        return _power(x, self.form)
 
     def __call__(self, x):
         with np.errstate(all="ignore"):
             return self.fn(np.asarray(x, dtype=float))
 
+    def build(self, tape, node: int) -> int:
+        """The primitive of tape node ``node``; ``x`` adds no node."""
+        if isinstance(self.form, str):
+            return tape.call(node, self.form)
+        return node if self.form == 1.0 else tape.pow(node, self.form)
 
-# One row per primitive: numpy function, tape builder ``(tape, node) ->
-# node``, Expr builder ``u -> Expr``, and derivative rule ``u -> f'(u)``.
-# Algebraic primitives build a Pow (or the argument itself), which
-# differentiates on its own, so they carry no rule.  ``sign`` only appears
-# as the derivative of ``abs`` and is never fitted, so it has no tape
-# builder.  Row order is LIBRARY order, which breaks ties in ``suggest``.
-_PRIMITIVES = {
-    "x": (lambda x: x, lambda t, a: a, lambda u: u, None),
-    "x^2": (lambda x: x**2, lambda t, a: t.pow(a, 2.0),
-            lambda u: Pow(u, 2.0), None),
-    "x^3": (lambda x: _power(x, 3.0), lambda t, a: t.pow(a, 3.0),
-            lambda u: Pow(u, 3.0), None),
-    "1/x": (lambda x: 1.0 / x, lambda t, a: t.pow(a, -1.0),
-            lambda u: Pow(u, -1.0), None),
-    "1/x^2": (lambda x: _power(x, -2.0), lambda t, a: t.pow(a, -2.0),
-              lambda u: Pow(u, -2.0), None),
-    "exp": (np.exp, lambda t, a: t.exp(a), lambda u: Call("exp", u),
-            lambda u: Call("exp", u)),
-    "log": (np.log, lambda t, a: t.log(a), lambda u: Call("log", u),
-            lambda u: Pow(u, -1.0)),
-    "sin": (np.sin, lambda t, a: t.sin(a), lambda u: Call("sin", u),
-            lambda u: Call("cos", u)),
-    "cos": (np.cos, lambda t, a: t.cos(a), lambda u: Call("cos", u),
-            lambda u: Mul((Num(-1.0), Call("sin", u)))),
-    "tan": (np.tan, lambda t, a: t.mul(t.sin(a), t.pow(t.cos(a), -1.0)),
-            lambda u: Call("tan", u),
-            lambda u: Add((Num(1.0), Pow(Call("tan", u), 2.0)))),
-    "tanh": (np.tanh, lambda t, a: t.tanh(a), lambda u: Call("tanh", u),
-             lambda u: Add((Num(1.0),
-                            Mul((Num(-1.0), Pow(Call("tanh", u), 2.0)))))),
-    "atan": (np.arctan, lambda t, a: t.atan(a), lambda u: Call("atan", u),
-             lambda u: Pow(Add((Num(1.0), Pow(u, 2.0))), -1.0)),
-    "abs": (np.abs, lambda t, a: t.absval(a), lambda u: Call("abs", u),
-            lambda u: Call("sign", u)),
-    "sqrt": (np.sqrt, lambda t, a: t.pow(a, 0.5), lambda u: Pow(u, 0.5), None),
-    "sign": (np.sign, None, lambda u: Call("sign", u), lambda u: Num(0.0)),
-}
+    def expr(self, u: Expr) -> Expr:
+        """The primitive of expression ``u``."""
+        if isinstance(self.form, str):
+            return Call(self.form, u)
+        return u if self.form == 1.0 else Pow(u, self.form)
 
-LIBRARY = tuple(BasicFunction(name, fn, tape)
-                for name, (fn, tape, _, _) in _PRIMITIVES.items()
-                if tape is not None)
+
+# LIBRARY order breaks ties in ``suggest``.
+LIBRARY = tuple(BasicFunction(name, form) for name, form in (
+    ("x", 1.0), ("x^2", 2.0), ("x^3", 3.0), ("1/x", -1.0), ("1/x^2", -2.0),
+    ("exp", "exp"), ("log", "log"), ("sin", "sin"), ("cos", "cos"),
+    ("tan", "tan"), ("tanh", "tanh"), ("atan", "atan"), ("abs", "abs"),
+    ("sqrt", 0.5)))
 
 LIBRARY_BY_NAME = {f.name: f for f in LIBRARY}
 
@@ -355,8 +342,8 @@ class Call(Expr):
 
     def eval(self, env):
         with np.errstate(all="ignore"):
-            return _PRIMITIVES[self.fname][0](np.asarray(self.arg.eval(env),
-                                                         dtype=float))
+            return _call_fn(self.fname)(np.asarray(self.arg.eval(env),
+                                                   dtype=float))
 
     def render(self):
         return f"{self.fname}({self.arg.render()})"
@@ -366,10 +353,31 @@ class Call(Expr):
                 "children": [self.arg.to_dict()]}
 
     def diff(self, var):
-        rule = _PRIMITIVES.get(self.fname, (None,) * 4)[3]
+        rule = _DERIVATIVES.get(self.fname)
         if rule is None:
             raise ValueError(f"no derivative rule for {self.fname!r}")
         return simplify(Mul((rule(self.arg), self.arg.diff(var))))
+
+
+def _call_fn(fname: str):
+    """numpy function of a :class:`Call`: its ``ELEMENTWISE`` row, or
+    ``sign``, which only appears as the derivative of ``abs``."""
+    return np.sign if fname == "sign" else ELEMENTWISE[fname][0]
+
+
+# derivative rule u -> f'(u) of each function a Call can name
+_DERIVATIVES = {
+    "exp": lambda u: Call("exp", u),
+    "log": lambda u: Pow(u, -1.0),
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Mul((Num(-1.0), Call("sin", u))),
+    "tan": lambda u: Add((Num(1.0), Pow(Call("tan", u), 2.0))),
+    "tanh": lambda u: Add((Num(1.0),
+                           Mul((Num(-1.0), Pow(Call("tanh", u), 2.0))))),
+    "atan": lambda u: Pow(Add((Num(1.0), Pow(u, 2.0))), -1.0),
+    "abs": lambda u: Call("sign", u),
+    "sign": lambda u: Num(0.0),
+}
 
 
 def simplify(expr: Expr) -> Expr:
@@ -421,7 +429,7 @@ def simplify(expr: Expr) -> Expr:
     if isinstance(expr, Call):
         arg = simplify(expr.arg)
         if isinstance(arg, Num):
-            val = float(_PRIMITIVES[expr.fname][0](arg.value))
+            val = float(_call_fn(expr.fname)(arg.value))
             if np.isfinite(val):
                 return Num(val)
         return Call(expr.fname, arg)
@@ -454,7 +462,7 @@ def extract_formula(spec: NetworkSpec, params: KanParams,
                     continue
                 inner = simplify(Add((
                     Mul((Num(fx.a * scales[i]), exprs[i])), Num(fx.b))))
-                body = _PRIMITIVES[fx.name][2](inner)
+                body = LIBRARY_BY_NAME[fx.name].expr(inner)
                 terms.append(simplify(Add((Mul((Num(fx.c), body)),
                                            Num(fx.d)))))
             terms.append(Num(float(layer.bias[j])))

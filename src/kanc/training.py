@@ -150,7 +150,7 @@ def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
     d_m = tape.const(d)
     if target == "I_D":
         i_data = dataset.train_field("I_D")
-        i_model = tape.exp(y)
+        i_model = tape.call(y, "exp")
         total = tape.mul(tape.const(weight), _tape_mse(tape, i_model, i_data))
         total = tape.add(total, _tape_mse(tape, y, log_current_targets(i_data)))
         di_dvg = tape.matmul(i_model, d_t)
@@ -177,8 +177,7 @@ def build_grid_objective(spec: NetworkSpec, params, dataset, target: str,
     around a network forward pass on the train sub-grid."""
     x_norm = device.normalize_voltages(dataset.train_inputs())
     tape = Tape()
-    leaves: dict = {}
-    y_flat = build_forward_tape(tape, spec, params, x_norm, leaves)
+    y_flat = build_forward_tape(tape, spec, params, x_norm)
     total = _grid_loss(tape, y_flat, dataset, target, weight)
     assert total == len(tape.nodes) - 1
     return Objective(tape, leaf_spec(spec, params))
@@ -188,9 +187,7 @@ def build_mse_objective(spec: NetworkSpec, params, x: np.ndarray,
                         y: np.ndarray) -> Objective:
     """Plain mean-squared-error objective on arbitrary sample pairs."""
     tape = Tape()
-    leaves: dict = {}
-    out = build_forward_tape(tape, spec, params, np.asarray(x, dtype=float),
-                             leaves)
+    out = build_forward_tape(tape, spec, params, np.asarray(x, dtype=float))
     _tape_mse(tape, out, np.asarray(y, dtype=float))
     return Objective(tape, leaf_spec(spec, params))
 
@@ -540,7 +537,10 @@ def _adam_loop(objective: Objective, x0, epochs, lr_fn, weight_decay,
     return x, losses, lrs, diverged
 
 
-def train_mlp(cfg: TrainConfig):
+def train_adam(cfg: TrainConfig, lr_fn, weight_decay: float, plateau=None):
+    """Full-batch Adam on the grid objective from a fresh initialization;
+    the family supplies the step size ``lr_fn(epoch)``, the weight decay
+    and the plateau rule of :func:`_adam_loop`."""
     t0 = time.perf_counter()
     dataset = generate_dataset(cfg.step_mv)
     spec = preset(cfg.resolved_arch(), cfg.target)
@@ -548,25 +548,23 @@ def train_mlp(cfg: TrainConfig):
     objective = build_grid_objective(spec, params, dataset, cfg.target,
                                      cfg.loss_weight)
     x0 = objective.pack(leaf_values(spec, params))
-    lr0 = cfg.resolved_lr()
-    plateau = {"threshold": cfg.plateau_threshold, "window": cfg.plateau_window,
-               "factor": cfg.plateau_factor, "floor": cfg.lr_floor}
     x, losses, lrs, diverged = _adam_loop(
-        objective, x0, cfg.resolved_epochs(), lambda e: lr0,
-        cfg.weight_decay, plateau)
+        objective, x0, cfg.resolved_epochs(), lr_fn, weight_decay, plateau)
     params = set_leaf_values(spec, params, objective.unpack(x))
     log = TrainLog(losses, lrs, [], time.perf_counter() - t0, diverged)
     return _checkpoint(spec, params, cfg, log), log
 
 
+def train_mlp(cfg: TrainConfig):
+    """Constant step size, halved on a loss plateau, with weight decay."""
+    lr0 = cfg.resolved_lr()
+    plateau = {"threshold": cfg.plateau_threshold, "window": cfg.plateau_window,
+               "factor": cfg.plateau_factor, "floor": cfg.lr_floor}
+    return train_adam(cfg, lambda e: lr0, cfg.weight_decay, plateau)
+
+
 def train_fkan(cfg: TrainConfig):
-    t0 = time.perf_counter()
-    dataset = generate_dataset(cfg.step_mv)
-    spec = preset(cfg.resolved_arch(), cfg.target)
-    params = init_params(spec, cfg.seed)
-    objective = build_grid_objective(spec, params, dataset, cfg.target,
-                                     cfg.loss_weight)
-    x0 = objective.pack(leaf_values(spec, params))
+    """Stepped decay (:func:`fkan_lr_schedule`), no weight decay."""
     epochs = cfg.resolved_epochs()
     if epochs == REFERENCE_FKAN_EPOCHS:
         cadence = REFERENCE_FKAN_CADENCE
@@ -575,13 +573,8 @@ def train_fkan(cfg: TrainConfig):
         cadence = max(1, round(epochs * REFERENCE_FKAN_CADENCE
                                / REFERENCE_FKAN_EPOCHS))
     lr0 = cfg.resolved_lr()
-    x, losses, lrs, diverged = _adam_loop(
-        objective, x0, epochs,
-        lambda e: fkan_lr_schedule(e, lr0, cadence=cadence),
-        weight_decay=0.0)
-    params = set_leaf_values(spec, params, objective.unpack(x))
-    log = TrainLog(losses, lrs, [], time.perf_counter() - t0, diverged)
-    return _checkpoint(spec, params, cfg, log), log
+    return train_adam(
+        cfg, lambda e: fkan_lr_schedule(e, lr0, cadence=cadence), 0.0)
 
 
 def run_lbfgs_stage(spec, params, dataset, target, epochs, lr, weight=100.0,
@@ -652,18 +645,10 @@ def train(cfg: TrainConfig):
 # seed sweeps
 # ----------------------------------------------------------------------
 
-@dataclass
-class SweepResult:
-    rows: list
-    summary: dict
-
-
-def seed_sweep(cfg: TrainConfig, n_seeds: int) -> SweepResult:
-    """Train ``n_seeds`` replicas differing only in seed and summarize the
-    error quartiles (linear interpolation) over the non-diverged runs.
-
-    Each row also holds the replica's ``checkpoint`` and ``log``.
-    """
+def seed_sweep(cfg: TrainConfig, n_seeds: int) -> list:
+    """Train ``n_seeds`` replicas differing only in seed; one row per
+    replica with its seed, divergence flag, errors and final loss (``None``
+    for a diverged run), ``checkpoint`` and ``log``."""
     if n_seeds < 1:
         raise ValueError("need at least one seed")
     dataset = generate_dataset(cfg.step_mv)
@@ -679,14 +664,4 @@ def seed_sweep(cfg: TrainConfig, n_seeds: int) -> SweepResult:
             row.update(train_mape=errs["train"], test_mape=errs["test"],
                        final_loss=ck.meta["final_loss"])
         rows.append(row)
-    summary = {}
-    for key in ("train_mape", "test_mape"):
-        vals = [r[key] for r in rows if not r["diverged"] and r[key] is not None]
-        if vals:
-            arr = np.asarray(vals, dtype=float)
-            q25, q50, q75 = np.percentile(arr, [25, 50, 75])
-            summary[key] = {"min": float(arr.min()), "q25": float(q25),
-                            "median": float(q50), "q75": float(q75),
-                            "max": float(arr.max())}
-    summary["n_diverged"] = sum(1 for r in rows if r["diverged"])
-    return SweepResult(rows, summary)
+    return rows

@@ -17,7 +17,6 @@ from kanc.networks import (
     CheckpointError,
     FixedEdge,
     NetworkSpec,
-    attribution,
     build_forward_tape,
     fkan_forward,
     init_params,
@@ -392,27 +391,6 @@ class TestRefinement:
         assert np.max(np.abs(after - before)) < 1e-7
         assert fine.grid_size == 12
         assert fine.layers[0].knots.interior is not None
-
-
-class TestAttribution:
-    def test_constant_edge_scores_zero(self):
-        spec = NetworkSpec("kan", (2, 2, 1), "charge-scale", grid=3)
-        params = init_params(spec, seed=11, grid_size=3)
-        # silence edge (0, 0): zero spline and zero silu weight
-        params.layers[0].coeffs[0, 0] = 0.0
-        params.layers[0].w_b[0, 0] = 0.0
-        params.layers[0].w_s[0, 0] = 0.0
-        xs = np.random.default_rng(35).uniform(0, 1, size=(100, 2))
-        scores = attribution(spec, params, xs)
-        assert scores[0]["edges"][0, 0] == 0.0
-        assert scores[0]["edges"].max() == 1.0
-
-    def test_node_score_is_max_outgoing(self):
-        spec = NetworkSpec("kan", (2, 3, 1), "charge-scale", grid=3)
-        params = init_params(spec, seed=12, grid_size=3)
-        xs = np.random.default_rng(36).uniform(0, 1, size=(50, 2))
-        scores = attribution(spec, params, xs)
-        assert_allclose(scores[0]["nodes"], scores[0]["edges"].max(axis=1))
 
 
 class TestCheckpointIO:

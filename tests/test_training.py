@@ -516,26 +516,20 @@ class TestTrainLog:
 
 
 class TestSeedSweep:
-    def test_rows_and_quartiles(self):
+    def test_rows_in_seed_order(self):
         cfg = training.TrainConfig(family="mlp", target="Q_S", step_mv=50,
                                    epochs=2, seed=5)
-        sweep = training.seed_sweep(cfg, 4)
-        assert [r["seed"] for r in sweep.rows] == [5, 6, 7, 8]
-        assert sweep.summary["n_diverged"] == 0
-        vals = [r["train_mape"] for r in sweep.rows]
-        q25, q50, q75 = np.percentile(vals, [25, 50, 75])
-        s = sweep.summary["train_mape"]
-        assert_allclose([s["q25"], s["median"], s["q75"]], [q25, q50, q75],
-                        rtol=1e-12)
-        assert s["min"] == min(vals) and s["max"] == max(vals)
+        rows = training.seed_sweep(cfg, 4)
+        assert [r["seed"] for r in rows] == [5, 6, 7, 8]
+        assert not any(r["diverged"] for r in rows)
+        assert all(np.isfinite(r["train_mape"]) for r in rows)
 
     def test_rows_carry_each_replica(self):
         """Each row holds the replica's checkpoint and log, which match a
         plain training run at that seed."""
         cfg = training.TrainConfig(family="mlp", target="Q_S", step_mv=50,
                                    epochs=3, seed=2)
-        sweep = training.seed_sweep(cfg, 2)
-        for row in sweep.rows:
+        for row in training.seed_sweep(cfg, 2):
             ck, log = training.train(replace(cfg, seed=row["seed"]))
             assert row["log"].losses == log.losses
             assert row["checkpoint"].meta == ck.meta
