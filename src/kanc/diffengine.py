@@ -17,9 +17,11 @@ tape, the fit and the formula evaluate each function the same way.
 A Fourier edge layer is one ``fourier`` node, its bias included.  Its
 tables of ``cos(k h)`` and ``sin(k h)`` come from :func:`fourier_tables`,
 which takes a single ``np.cos``/``np.sin`` pair of ``h`` and builds the
-higher frequencies by angle addition.  They are held feature-major, as one
-(2, grid, n_in, N) buffer (:func:`fourier_table`), so the forward, the
-weight adjoint and the input adjoint are each one BLAS call over it.  A
+higher frequencies by the Chebyshev recurrence ``cos((k+1)h) = 2 cos(h)
+cos(kh) - cos((k-1)h)`` (and the same for sine), two in-place passes per
+row.  They are held feature-major, as one (2, grid, n_in, N) buffer
+(:func:`fourier_table`), so the forward, the weight adjoint and the input
+adjoint are each one BLAS call over it.  A
 spline edge layer is one ``kan_layer`` node.  It works on the
 ``order + 1`` local basis rows of :func:`splines._local_basis`, one kernel
 call per input column, and builds no dense basis matrix.
@@ -29,6 +31,8 @@ one scratch entry per node.  Arrays that depend only on the node's input
 (the Fourier table; the local basis and ``silu`` of each input column) are
 kept across passes while that input is fixed and rebuilt otherwise, the
 Fourier table in place.  The per-edge spline values live for one pass.
+An ``mse`` node keeps its residual ``a - data`` there for its backward, so
+a loss's squared-error term is one node.
 """
 
 from __future__ import annotations
@@ -102,8 +106,10 @@ def fourier_tables(h: np.ndarray, grid: int, out=None):
     """Tables ``C[k-1] = cos(k h)`` and ``S[k-1] = sin(k h)`` for
     ``k = 1..grid``, each of shape (grid, *h.shape).
 
-    Only ``cos(h)`` and ``sin(h)`` are evaluated; each higher frequency
-    follows from the one below by angle addition.  For ``k <= 8`` and
+    Only ``c = cos(h)`` and ``s = sin(h)`` are evaluated; the higher
+    frequencies follow the Chebyshev recurrence ``cos((k+1)h) = 2c cos(kh)
+    - cos((k-1)h)``, and the same for sine, from ``cos(0) = 1`` and
+    ``sin(0) = 0``: two in-place passes per row.  For ``k <= 8`` and
     ``|h| <= 50`` the entries are within 1e-13 of ``np.cos(k * h)``.
     ``out`` is an optional ``(C, S)`` pair of arrays to fill.
     """
@@ -111,13 +117,17 @@ def fourier_tables(h: np.ndarray, grid: int, out=None):
     if out is None:
         out = (np.empty((grid,) + h.shape), np.empty((grid,) + h.shape))
     C, S = out
-    c1, s1 = np.cos(h, out=C[0]), np.sin(h, out=S[0])
-    tmp = np.empty(h.shape)
-    for k in range(1, grid):
-        np.multiply(C[k - 1], c1, out=C[k])
-        C[k] -= np.multiply(S[k - 1], s1, out=tmp)
-        np.multiply(S[k - 1], c1, out=S[k])
-        S[k] += np.multiply(C[k - 1], s1, out=tmp)
+    c, s = np.cos(h, out=C[0]), np.sin(h, out=S[0])
+    if grid > 1:
+        two_c = c + c
+        np.multiply(two_c, c, out=C[1])
+        C[1] -= 1.0
+        np.multiply(two_c, s, out=S[1])
+    for k in range(2, grid):
+        np.multiply(two_c, C[k - 1], out=C[k])
+        C[k] -= C[k - 2]
+        np.multiply(two_c, S[k - 1], out=S[k])
+        S[k] -= S[k - 2]
     return C, S
 
 
@@ -226,6 +236,11 @@ class Tape:
     def mean(self, a):
         return self._push(Node("mean", (a,)))
 
+    def mse(self, a, data):
+        """Mean squared error ``mean((a - data)^2)`` of node ``a`` against
+        a constant array ``data``, as one node."""
+        return self._push(Node("mse", (a,), np.asarray(data, dtype=float)))
+
     def reshape(self, a, shape):
         return self._push(Node("reshape", (a,), tuple(shape)))
 
@@ -287,6 +302,9 @@ class Tape:
                     val = np.sum(v[a[0]])
                 elif op == "mean":
                     val = np.sum(v[a[0]]) / float(v[a[0]].size)
+                elif op == "mse":
+                    d = self._scratch[idx] = v[a[0]] - node.aux
+                    val = np.sum(d * d) / float(d.size)
                 elif op == "reshape":
                     val = np.reshape(v[a[0]], node.aux)
                 else:  # pragma: no cover
@@ -396,6 +414,9 @@ class Tape:
                 elif op == "mean":
                     accumulate(a[0], np.broadcast_to(g / float(v[a[0]].size),
                                                      v[a[0]].shape))
+                elif op == "mse":
+                    d = self._scratch[idx]
+                    accumulate(a[0], (g / float(d.size)) * 2.0 * d)
                 elif op == "reshape":
                     accumulate(a[0], np.reshape(g, np.asarray(v[a[0]]).shape))
                 else:  # pragma: no cover

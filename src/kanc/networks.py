@@ -278,13 +278,14 @@ def kan_layer_outputs(layer: KanLayer, h: np.ndarray) -> np.ndarray:
     """Per-edge outputs for one layer; shape (N, n_in, n_out)."""
     n, n_in, n_out = h.shape[0], layer.n_in, layer.n_out
     edges = np.empty((n, n_in, n_out))
-    for i in range(n_in):
-        basis = splines.basis_matrix(layer.knots, h[:, i])
-        spline_part = basis @ layer.coeffs[i].T        # (N, n_out)
-        base_part = splines.silu(h[:, i])[:, None] * layer.w_b[i][None, :]
-        edges[:, i, :] = base_part + layer.w_s[i][None, :] * spline_part
-    for (i, j), fx in layer.fixed.items():
-        edges[:, i, j] = fx(h[:, i])
+    with np.errstate(all="ignore"):
+        for i in range(n_in):
+            basis = splines.basis_matrix(layer.knots, h[:, i])
+            spline_part = basis @ layer.coeffs[i].T        # (N, n_out)
+            base_part = splines.silu(h[:, i])[:, None] * layer.w_b[i][None, :]
+            edges[:, i, :] = base_part + layer.w_s[i][None, :] * spline_part
+        for (i, j), fx in layer.fixed.items():
+            edges[:, i, j] = fx(h[:, i])
     return edges
 
 

@@ -95,12 +95,12 @@ def _score_grid(xs, ys, f: BasicFunction, a_vals, b_vals):
     centered in place and reduced to its per-candidate sums."""
     aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
     aa, bb = aa.ravel(), bb.ravel()
-    y_bar = ys.mean()
-    yc = ys - y_bar
-    s_yy = float(np.sum(yc ** 2))
     valid = np.empty(aa.size, dtype=bool)
     f_bar, s_ff, s_fy = np.empty((3, aa.size))
     with np.errstate(all="ignore"):
+        y_bar = ys.mean()
+        yc = ys - y_bar
+        s_yy = float(np.sum(yc ** 2))
         for lo in range(0, aa.size, SCORE_BLOCK):
             blk = slice(lo, lo + SCORE_BLOCK)
             big = f.fn(aa[blk, None] * xs + bb[blk, None])
@@ -129,11 +129,13 @@ def fit_basic(xs, ys, f: BasicFunction) -> EdgeFit:
         raise ValueError("sample arrays differ in length")
     if xs.size < 8:
         raise ValueError(f"need at least 8 samples, got {xs.size}")
-    if np.ptp(ys) == 0.0:
+    with np.errstate(all="ignore"):
+        spread, y_mean = np.ptp(ys), float(ys.mean())
+    if spread == 0.0:
         return EdgeFit(f.name, 1.0, 0.0, 0.0, float(ys[0]), 1.0)
     a_vals = np.linspace(-FIT_RANGE, FIT_RANGE, FIT_GRID_POINTS)
     b_vals = np.linspace(-FIT_RANGE, FIT_RANGE, FIT_GRID_POINTS)
-    best = (1.0, 0.0, 0.0, float(ys.mean()), -np.inf)
+    best = (1.0, 0.0, 0.0, y_mean, -np.inf)
     half = FIT_RANGE
     for _ in range(FIT_LEVELS):
         a, b, c, d, r2 = _score_grid(xs, ys, f, a_vals, b_vals)
@@ -312,8 +314,11 @@ class Pow(Expr):
     exponent: float
 
     def eval(self, env):
+        # the primitives' own power, so an ``x^3`` or ``1/x^2`` edge is the
+        # function that was fitted
         with np.errstate(all="ignore"):
-            return self.base.eval(env) ** self.exponent
+            return _power(np.asarray(self.base.eval(env), dtype=float),
+                          self.exponent)
 
     def render(self):
         b = self.base.render()
@@ -420,7 +425,7 @@ def simplify(expr: Expr) -> Expr:
         base = simplify(expr.base)
         if isinstance(base, Num):
             with np.errstate(all="ignore"):
-                val = float(base.value ** expr.exponent)
+                val = float(_power(np.float64(base.value), expr.exponent))
             if np.isfinite(val):
                 return Num(val)
         if expr.exponent == 1.0:

@@ -133,16 +133,12 @@ class Objective:
         return f, g
 
 
-def _tape_mse(tape: Tape, node: int, data: np.ndarray) -> int:
-    diff = tape.sub(node, tape.const(data))
-    return tape.mean(tape.pow(diff, 2.0))
-
-
 def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
                weight: float) -> int:
     """Append the grid objective for head outputs ``y_flat`` (an (N,) node
     over the train sub-grid, row-major in V_D) and return its scalar node:
-    six terms for a current head, three for a charge head."""
+    six squared-error terms for a current head, three for a charge head,
+    each one ``mse`` node."""
     n = dataset.train_indices.size
     y = tape.reshape(y_flat, (n, n))
     d = derivative_stencil(n, dataset.step_mv / 1000.0)
@@ -151,23 +147,21 @@ def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
     if target == "I_D":
         i_data = dataset.train_field("I_D")
         i_model = tape.call(y, "exp")
-        total = tape.mul(tape.const(weight), _tape_mse(tape, i_model, i_data))
-        total = tape.add(total, _tape_mse(tape, y, log_current_targets(i_data)))
+        total = tape.mul(tape.const(weight), tape.mse(i_model, i_data))
+        total = tape.add(total, tape.mse(y, log_current_targets(i_data)))
         di_dvg = tape.matmul(i_model, d_t)
         di_dvd = tape.matmul(d_m, i_model)
-        total = tape.add(total, _tape_mse(tape, di_dvg, i_data @ d.T))
-        total = tape.add(total, _tape_mse(tape, di_dvd, d @ i_data))
-        total = tape.add(total, _tape_mse(
-            tape, tape.matmul(di_dvg, d_t), (i_data @ d.T) @ d.T))
-        total = tape.add(total, _tape_mse(
-            tape, tape.matmul(d_m, di_dvd), d @ (d @ i_data)))
+        total = tape.add(total, tape.mse(di_dvg, i_data @ d.T))
+        total = tape.add(total, tape.mse(di_dvd, d @ i_data))
+        total = tape.add(total, tape.mse(
+            tape.matmul(di_dvg, d_t), (i_data @ d.T) @ d.T))
+        total = tape.add(total, tape.mse(
+            tape.matmul(d_m, di_dvd), d @ (d @ i_data)))
     else:
         q_data = dataset.train_field(target)
-        total = _tape_mse(tape, y, q_data)
-        total = tape.add(total, _tape_mse(
-            tape, tape.matmul(y, d_t), q_data @ d.T))
-        total = tape.add(total, _tape_mse(
-            tape, tape.matmul(d_m, y), d @ q_data))
+        total = tape.mse(y, q_data)
+        total = tape.add(total, tape.mse(tape.matmul(y, d_t), q_data @ d.T))
+        total = tape.add(total, tape.mse(tape.matmul(d_m, y), d @ q_data))
     return total
 
 
@@ -188,7 +182,7 @@ def build_mse_objective(spec: NetworkSpec, params, x: np.ndarray,
     """Plain mean-squared-error objective on arbitrary sample pairs."""
     tape = Tape()
     out = build_forward_tape(tape, spec, params, np.asarray(x, dtype=float))
-    _tape_mse(tape, out, np.asarray(y, dtype=float))
+    tape.mse(out, np.asarray(y, dtype=float))
     return Objective(tape, leaf_spec(spec, params))
 
 

@@ -190,14 +190,27 @@ class TestSplinePrimitive:
 
 class TestFourierPrimitive:
     def test_tables_match_direct_trig(self):
-        """Angle addition stays within 1e-13 of cos(k h) and sin(k h) for
-        every frequency up to 8 on |h| <= 50."""
+        """The Chebyshev recurrence stays within 1e-13 of cos(k h) and
+        sin(k h) for every frequency up to 8 on |h| <= 50."""
         h = np.random.default_rng(21).uniform(-50.0, 50.0, size=(4000, 3))
         C, S = fourier_tables(h, 8)
         assert C.shape == S.shape == (8, 4000, 3)
         k = np.arange(1, 9, dtype=float)[:, None, None]
         assert np.abs(C - np.cos(k * h)).max() <= 1e-13
         assert np.abs(S - np.sin(k * h)).max() <= 1e-13
+
+    @pytest.mark.parametrize("grid", [1, 2])
+    def test_first_two_frequencies_match_direct_trig(self, grid):
+        """``grid = 1`` is the ``np.cos``/``np.sin`` pair alone, and
+        ``grid = 2`` the recurrence's start ``2c c - 1`` and ``2c s``."""
+        h = np.random.default_rng(26).uniform(-50.0, 50.0, size=(500, 2))
+        C, S = fourier_tables(h, grid)
+        assert C.shape == S.shape == (grid, 500, 2)
+        assert_array_equal(C[0], np.cos(h))
+        assert_array_equal(S[0], np.sin(h))
+        if grid == 2:
+            assert np.abs(C[1] - np.cos(2.0 * h)).max() <= 1e-15
+            assert np.abs(S[1] - np.sin(2.0 * h)).max() <= 1e-15
 
     def test_feature_major_table(self):
         """``fourier_table`` holds the cos rows, then the sin rows, each
@@ -346,6 +359,26 @@ class TestGradCheck:
         assert_allclose(tape.forward({"x": vals}), vals.mean(), rtol=1e-15)
         grads = tape.backward()
         assert_allclose(grads["x"], np.full((3, 4), 1.0 / 12.0), rtol=1e-15)
+
+    def test_mse_gradcheck(self):
+        rng = np.random.default_rng(14)
+        data = rng.normal(size=(3, 4))
+        tape = Tape()
+        x = tape.leaf("x", (12,))
+        tape.mse(tape.reshape(x, (3, 4)), data)
+        assert_allclose(tape.forward({"x": data.ravel() + 0.5}), 0.25,
+                        rtol=1e-15)
+        assert grad_check(tape, {"x": rng.normal(size=12)}, step=1e-6) < 1e-5
+
+    def test_mse_overflowing_square_raises(self):
+        """A finite difference whose square overflows is caught at the
+        ``mse`` node."""
+        xs, data = np.array([1.0, 1e200]), np.array([0.0, -1e200])
+        assert np.all(np.isfinite(xs - data))
+        tape = Tape()
+        tape.mse(tape.leaf("x", (2,)), data)
+        with pytest.raises(EvaluationError, match="'mse'"):
+            tape.forward({"x": xs})
 
     def test_matmul_gradcheck(self):
         rng = np.random.default_rng(6)

@@ -297,6 +297,16 @@ class TestExpressions:
         got = eval(text.replace("^", "**"), {"atan": np.arctan, **env})
         assert np.array_equal(got, expr.eval(env))
 
+    @pytest.mark.parametrize("name,exponent", [("x^3", 3.0), ("1/x^2", -2.0)])
+    def test_power_is_the_fitted_primitive(self, name, exponent):
+        """A formula's power evaluates bit for bit as the library primitive
+        that was fitted, evaluated and constant-folded alike."""
+        xs = np.random.default_rng(31).uniform(-1.4, 1.4, size=10_000)
+        fn = LIBRARY_BY_NAME[name].fn
+        assert np.array_equal(Pow(Var("u"), exponent).eval({"u": xs}), fn(xs))
+        for x in xs[:200]:
+            assert simplify(Pow(Num(float(x)), exponent)).value == fn(x)
+
     def test_product_of_sum_is_parenthesized(self):
         expr = Mul((Add((Var("V_D"), Num(1.0))), Var("V_G")))
         assert expr.render() == "(V_D + 1.0)*V_G"

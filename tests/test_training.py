@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from kanc import device, networks, training
+from kanc.diffengine import Tape
 
 
 def grad_oracle(field, h, axis, order=1):
@@ -145,11 +146,11 @@ class TestTapeObjectives:
         assert np.all(np.isfinite(g))
 
     @pytest.mark.parametrize("arch,target,n_nodes", [
-        ("kan1", "Q_S", 31), ("fkan1", "I_D", 49), ("mlp1", "I_D", 55),
-        ("kan1", "I_D", 56),
+        ("kan1", "Q_S", 22), ("fkan1", "I_D", 31), ("mlp1", "I_D", 37),
+        ("kan1", "I_D", 38),
     ])
     def test_grid_objective_node_counts(self, arch, target, n_nodes):
-        """The grid loss records one ``mean`` node per squared-error term
+        """The grid loss records one ``mse`` node per squared-error term
         and each first-derivative stencil product once, on top of the
         network's forward nodes."""
         spec = networks.preset(arch, target)
@@ -157,6 +158,27 @@ class TestTapeObjectives:
             spec, networks.init_params(spec, seed=1),
             device.generate_dataset(50), target)
         assert len(obj.tape.nodes) == n_nodes
+
+    @pytest.mark.parametrize("arch,target", [
+        ("fkan1", "I_D"), ("mlp1", "I_D"), ("kan1", "Q_S"), ("kan2", "Q_D"),
+    ])
+    def test_mse_node_matches_explicit_chain(self, arch, target, monkeypatch):
+        """Each ``mse`` node gives the value and gradient, bit for bit, of
+        the ``const``/``sub``/``pow``/``mean`` nodes it stands for."""
+        ds = device.generate_dataset(50)
+        spec = networks.preset(arch, target)
+        params = networks.init_params(spec, seed=5)
+        obj = training.build_grid_objective(spec, params, ds, target)
+        x0 = obj.pack(networks.leaf_values(spec, params))
+        x0 += np.random.default_rng(6).normal(scale=0.05, size=x0.size)
+        monkeypatch.setattr(Tape, "mse", lambda tape, a, data: tape.mean(
+            tape.pow(tape.sub(a, tape.const(data)), 2.0)))
+        chain = training.build_grid_objective(spec, params, ds, target)
+        assert len(chain.tape.nodes) > len(obj.tape.nodes)
+        f, g = obj.value_grad(x0)
+        f_chain, g_chain = chain.value_grad(x0)
+        assert f == f_chain
+        np.testing.assert_array_equal(g, g_chain)
 
     def test_objective_gradient_matches_finite_differences(self):
         ds = device.generate_dataset(50)
