@@ -101,8 +101,6 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_ladder(raw) -> tuple:
-    if isinstance(raw, tuple):
-        return raw
     toks = [t for t in str(raw).replace(",", " ").split() if t]
     if not toks:
         raise ValueError("empty ladder")
@@ -118,26 +116,7 @@ TRAIN_FIELDS = {
     "epochs": int,
     "full_budget": _parse_bool,
     "lr": float,
-    "loss_weight": float,
-    "weight_decay": float,
     "ladder": _parse_ladder,
-    "plateau_window": int,
-    "plateau_threshold": float,
-    "plateau_factor": float,
-    "lr_floor": float,
-    "lbfgs_history": int,
-}
-
-
-TRAIN_RANGES = {
-    "lr": (lambda v: v > 0, "> 0"),
-    "loss_weight": (lambda v: v >= 0, ">= 0"),
-    "weight_decay": (lambda v: v >= 0, ">= 0"),
-    "plateau_window": (lambda v: v >= 1, ">= 1"),
-    "plateau_threshold": (lambda v: 0 <= v < 1, "in [0, 1)"),
-    "plateau_factor": (lambda v: 0 < v <= 1, "in (0, 1]"),
-    "lr_floor": (lambda v: v >= 0, ">= 0"),
-    "lbfgs_history": (lambda v: v >= 1, ">= 1"),
 }
 
 
@@ -153,8 +132,7 @@ def load_train_config(path) -> dict:
     cp = configparser.ConfigParser()
     if not cp.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    known = {"train", "run"}
-    extra = set(cp.sections()) - known
+    extra = set(cp.sections()) - {"train", "run"}
     if extra:
         raise ConfigError(f"unknown config sections: {sorted(extra)}")
     if not cp.has_section("train"):
@@ -167,8 +145,11 @@ def load_train_config(path) -> dict:
             values[key] = TRAIN_FIELDS[key](raw)
         except ValueError:
             raise ConfigError(f"bad value for [train] {key}: {raw!r}") from None
-    if cp.has_section("run") and cp.has_option("run", "out_dir"):
-        values["__out_dir"] = cp.get("run", "out_dir")
+    if cp.has_section("run"):
+        for key, raw in cp.items("run"):
+            if key != "out_dir":
+                raise ConfigError(f"unknown [run] key {key!r}")
+            values["__out_dir"] = raw
     return values
 
 
@@ -201,8 +182,7 @@ def build_train_config(args) -> tuple:
     if spec.kind != cfg.family:
         raise ConfigError(f"preset {cfg.resolved_arch()!r} is not a "
                           f"{cfg.family} network")
-    for name, (test, need) in TRAIN_RANGES.items():
-        _check_range(name, getattr(cfg, name), test, need)
+    _check_range("lr", cfg.lr, lambda v: v > 0, "> 0")
     if min(cfg.ladder) < 1 or list(cfg.ladder) != sorted(cfg.ladder):
         raise ConfigError(f"ladder must be non-decreasing sizes >= 1, got {list(cfg.ladder)}")
     _check_range("--sweep", args.sweep, lambda v: v >= 0, ">= 0")
@@ -266,8 +246,10 @@ def cmd_train(args) -> int:
 def _load_dataset_for(ck, step, data_path):
     if data_path:
         return device.load_dataset(data_path)
-    step = step if step is not None else int(ck.meta.get("step_mv", 10))
-    return device.generate_dataset(step)
+    if step is None and "step_mv" not in ck.meta:
+        raise ConfigError("the checkpoint has no 'meta step_mv'; pass --step")
+    return device.generate_dataset(
+        int(ck.meta["step_mv"]) if step is None else step)
 
 
 def cmd_eval(args) -> int:
@@ -287,12 +269,12 @@ def cmd_derivs(args) -> int:
         _check_range("--vd", vd, lambda v: 0.0 <= v <= device.V_MAX,
                      f"in [0, {device.V_MAX}]")
     ck = networks.load_checkpoint(args.checkpoint)
+    curves = [evaluate.derivative_sweep(ck, vd) for vd in args.vd]
     os.makedirs(args.out_dir, exist_ok=True)
     outputs = []
-    for vd in args.vd:
+    for vd, curve in zip(args.vd, curves):
         name = f"deriv_vd{vd:g}.csv"
-        evaluate.write_sweep(os.path.join(args.out_dir, name),
-                             evaluate.derivative_sweep(ck, vd))
+        evaluate.write_sweep(os.path.join(args.out_dir, name), curve)
         outputs.append(name)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "derivs",
                    {"checkpoint": str(args.checkpoint),
@@ -360,8 +342,16 @@ def cmd_report(args) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one ``error:`` line; subparsers share the class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}; see '{self.prog} --help' "
+                              "for usage\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kanc",
         description="Compact-model network training and analysis toolkit.")
     parser.add_argument("--version", action="version",
@@ -390,14 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-budget", dest="full_budget",
                    action="store_true", default=None)
     p.add_argument("--lr", type=float)
-    p.add_argument("--loss-weight", dest="loss_weight", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
     p.add_argument("--ladder", help="comma-separated grid sizes")
-    p.add_argument("--plateau-window", dest="plateau_window", type=int)
-    p.add_argument("--plateau-threshold", dest="plateau_threshold", type=float)
-    p.add_argument("--plateau-factor", dest="plateau_factor", type=float)
-    p.add_argument("--lr-floor", dest="lr_floor", type=float)
-    p.add_argument("--lbfgs-history", dest="lbfgs_history", type=int)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="summary errors and sweep curves")
@@ -438,19 +421,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
-        return EXIT_OK if code == 0 else EXIT_USAGE
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # --help, --version or a usage error
+        return exc.code
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, networks.CheckpointError,
-            device.VoltageRangeError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # each input error subclasses one
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

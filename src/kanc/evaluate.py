@@ -59,7 +59,7 @@ def predict(model, v_d, v_g) -> np.ndarray:
     v_g = np.asarray(v_g, dtype=float)
     if model.spec.kind == "oracle":
         fields = device.surrogate_fields(v_d, v_g)
-        return fields[model.meta["target"]]
+        return fields[model.target]
     if isinstance(model, networks.Checkpoint):
         x = np.column_stack([
             device.normalize_voltages(v_d).ravel(),
@@ -148,7 +148,7 @@ class EvalReport:
 
 def evaluate_checkpoint(ck: networks.Checkpoint,
                         dataset: device.VoltageGridDataset) -> EvalReport:
-    target = ck.meta.get("target", "I_D")
+    target = ck.target
     errs = split_errors(ck, dataset, target)
     sweeps, wav = {}, {}
     for vd in SWEEP_VDS:

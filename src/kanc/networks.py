@@ -172,6 +172,13 @@ class Checkpoint:
     params: object
     meta: dict = field(default_factory=dict)
 
+    @property
+    def target(self) -> str:
+        """The field the head was trained on (``meta target``)."""
+        if "target" not in self.meta:
+            raise CheckpointError("checkpoint has no 'meta target' entry")
+        return self.meta["target"]
+
 
 # ----------------------------------------------------------------------
 # initialization
@@ -560,6 +567,11 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
     if kind not in KINDS:
         raise CheckpointError(f"unknown kind {kind!r}")
     conversion = header["conversion"][0]
+    target = header["meta"].get("target")
+    if "target" in header["meta"] and (target not in device.FIELD_NAMES or
+                                       conversion_for(target) != conversion):
+        raise CheckpointError(f"meta target {target!r} is not a {conversion} "
+                              "field")
     if kind == "oracle":
         return Checkpoint(NetworkSpec("oracle", (), conversion), None,
                           header["meta"])

@@ -541,7 +541,7 @@ def iterative_sr(ck: Checkpoint, dataset, k: int,
         raise ValueError("k must be positive")
     spec = ck.spec
     params = copy.deepcopy(ck.params)
-    target = ck.meta.get("target", "Q_S")
+    target = ck.target
     if retrain_epochs is None:
         retrain_epochs = max(1, int(ck.meta.get("epochs", 1500)) // 5)
     if lr is None:

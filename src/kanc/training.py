@@ -15,7 +15,6 @@ coarse-to-fine grid ladder.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -43,38 +42,38 @@ REFERENCE_FKAN_CADENCE = 2000
 DESK_EPOCHS = {"mlp": 5000, "kan": 1500, "fkan": 10000}
 FULL_EPOCHS = {"mlp": 100000, "kan": 1500, "fkan": 60000}
 
+CURRENT_WEIGHT = 100.0   # the plain-current term of the I_D loss
+MLP_WEIGHT_DECAY = 1e-5
+# a dense net keeps one step size, so a stalled loss is its only cue to
+# anneal: halve the step after ``window`` epochs without a ``threshold``
+# relative gain, and stop once it is below ``floor``
+MLP_PLATEAU = {"threshold": 1e-3, "window": 500, "factor": 0.5, "floor": 1e-5}
+LBFGS_HISTORY = 10
+
 
 # ----------------------------------------------------------------------
 # losses
 # ----------------------------------------------------------------------
-
-def mse(pred, true) -> float:
-    pred = np.asarray(pred, dtype=float)
-    true = np.asarray(true, dtype=float)
-    if pred.shape != true.shape:
-        raise ValueError(f"shape mismatch {pred.shape} vs {true.shape}")
-    return float(np.sum((pred - true) ** 2) / pred.size)
-
 
 def log_current_targets(i_field: np.ndarray) -> np.ndarray:
     """Log targets with the zero-bias column floored to stay finite."""
     return np.log(np.clip(i_field, CURRENT_FLOOR, None))
 
 
-def loss_current(y, dataset, weight: float = 100.0) -> float:
+def loss_current(y, dataset) -> float:
     """Six-term current objective for head outputs ``y`` (log-amperes) on
     the train sub-grid."""
-    return _grid_loss_value(y, dataset, "I_D", weight)
+    return _grid_loss_value(y, dataset, "I_D")
 
 
 def loss_charge(y, dataset, target: str) -> float:
     """Charge objective: value plus both first grid derivatives."""
-    return _grid_loss_value(y, dataset, target, 100.0)
+    return _grid_loss_value(y, dataset, target)
 
 
-def _grid_loss_value(y, dataset, target, weight) -> float:
+def _grid_loss_value(y, dataset, target) -> float:
     tape = Tape()
-    _grid_loss(tape, tape.const(y), dataset, target, weight)
+    _grid_loss(tape, tape.const(y), dataset, target)
     try:
         return float(tape.forward({}))
     except EvaluationError:
@@ -133,8 +132,7 @@ class Objective:
         return f, g
 
 
-def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
-               weight: float) -> int:
+def _grid_loss(tape: Tape, y_flat: int, dataset, target: str) -> int:
     """Append the grid objective for head outputs ``y_flat`` (an (N,) node
     over the train sub-grid, row-major in V_D) and return its scalar node:
     six squared-error terms for a current head, three for a charge head,
@@ -147,7 +145,8 @@ def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
     if target == "I_D":
         i_data = dataset.train_field("I_D")
         i_model = tape.call(y, "exp")
-        total = tape.mul(tape.const(weight), tape.mse(i_model, i_data))
+        total = tape.mul(tape.const(CURRENT_WEIGHT),
+                         tape.mse(i_model, i_data))
         total = tape.add(total, tape.mse(y, log_current_targets(i_data)))
         di_dvg = tape.matmul(i_model, d_t)
         di_dvd = tape.matmul(d_m, i_model)
@@ -165,14 +164,14 @@ def _grid_loss(tape: Tape, y_flat: int, dataset, target: str,
     return total
 
 
-def build_grid_objective(spec: NetworkSpec, params, dataset, target: str,
-                         weight: float = 100.0) -> Objective:
+def build_grid_objective(spec: NetworkSpec, params, dataset,
+                         target: str) -> Objective:
     """The grid objective of :func:`loss_current` / :func:`loss_charge`
     around a network forward pass on the train sub-grid."""
     x_norm = device.normalize_voltages(dataset.train_inputs())
     tape = Tape()
     y_flat = build_forward_tape(tape, spec, params, x_norm)
-    total = _grid_loss(tape, y_flat, dataset, target, weight)
+    total = _grid_loss(tape, y_flat, dataset, target)
     assert total == len(tape.nodes) - 1
     return Objective(tape, leaf_spec(spec, params))
 
@@ -193,12 +192,12 @@ def build_mse_objective(spec: NetworkSpec, params, x: np.ndarray,
 class Adam:
     """Full-batch Adam with optional L2-coupled weight decay."""
 
-    def __init__(self, n: int, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, n: int):
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
 
     def step(self, x, grad, lr, weight_decay=0.0):
         g = grad + weight_decay * x if weight_decay else grad
@@ -346,8 +345,7 @@ def _strong_wolfe(obj, t, d, f, g, gtd, c1=1e-4, c2=0.9,
     return bracket_f[low_pos], bracket_g[low_pos], t, ls_func_evals
 
 
-def lbfgs_minimize(value_grad, x0: np.ndarray, max_iter: int, lr: float,
-                   history_size: int = 10):
+def lbfgs_minimize(value_grad, x0: np.ndarray, max_iter: int, lr: float):
     """LBFGS loop with two-loop recursion and strong Wolfe line search.
 
     Returns (x, per-iteration losses, diverged flag).  A non-finite loss at
@@ -405,7 +403,7 @@ def lbfgs_minimize(value_grad, x0: np.ndarray, max_iter: int, lr: float,
         y_vec = g_new - g
         sy = float(step_vec @ y_vec)
         if sy > 1e-10:
-            if len(s_hist) >= history_size:
+            if len(s_hist) >= LBFGS_HISTORY:
                 s_hist.pop(0), y_hist.pop(0), rho_hist.pop(0)
             s_hist.append(step_vec)
             y_hist.append(y_vec)
@@ -432,14 +430,7 @@ class TrainConfig:
     epochs: int | None = None        # None -> desk budget for the family
     full_budget: bool = False
     lr: float | None = None          # None -> family/target default
-    loss_weight: float = 100.0
-    weight_decay: float = 1e-5       # dense nets only
     ladder: tuple = (2, 4, 8, 12, 16)
-    plateau_window: int = 500
-    plateau_threshold: float = 1e-3
-    plateau_factor: float = 0.5
-    lr_floor: float = 1e-5
-    lbfgs_history: int = 10
 
     def resolved_arch(self) -> str:
         return self.arch or f"{self.family}1"
@@ -468,7 +459,6 @@ class TrainLog:
     losses: list = field(default_factory=list)
     lrs: list = field(default_factory=list)
     stages: list = field(default_factory=list)
-    wall_clock: float = 0.0
     diverged: bool = False
 
 
@@ -497,14 +487,12 @@ def _checkpoint(spec, params, cfg: TrainConfig, log: TrainLog) -> Checkpoint:
 
 def _adam_loop(objective: Objective, x0, epochs, lr_fn, weight_decay,
                plateau=None):
-    """Shared Adam driver; ``lr_fn(epoch, state)`` supplies the step size."""
+    """Shared Adam loop; ``lr_fn(epoch)`` supplies the step size."""
     x = x0
     adam = Adam(x.size)
     losses, lrs = [], []
     diverged = False
-    best = np.inf
-    stall = 0
-    lr_scale = 1.0
+    best, stall, lr_scale = np.inf, 0, 1.0
     for epoch in range(epochs):
         f, g = objective.value_grad(x)
         if g is None or not np.isfinite(f):
@@ -513,20 +501,17 @@ def _adam_loop(objective: Objective, x0, epochs, lr_fn, weight_decay,
         lr = lr_fn(epoch) * lr_scale
         if plateau is not None:
             if f < best * (1.0 - plateau["threshold"]):
-                best = f
-                stall = 0
+                best, stall = f, 0
             else:
                 stall += 1
             if stall >= plateau["window"]:
                 lr_scale *= plateau["factor"]
                 stall = 0
                 lr = lr_fn(epoch) * lr_scale
-            if lr < plateau["floor"]:
-                losses.append(f)
-                lrs.append(lr)
-                break
         losses.append(f)
         lrs.append(lr)
+        if plateau is not None and lr < plateau["floor"]:
+            break
         x = adam.step(x, g, lr, weight_decay)
     return x, losses, lrs, diverged
 
@@ -535,26 +520,22 @@ def train_adam(cfg: TrainConfig, lr_fn, weight_decay: float, plateau=None):
     """Full-batch Adam on the grid objective from a fresh initialization;
     the family supplies the step size ``lr_fn(epoch)``, the weight decay
     and the plateau rule of :func:`_adam_loop`."""
-    t0 = time.perf_counter()
     dataset = generate_dataset(cfg.step_mv)
     spec = preset(cfg.resolved_arch(), cfg.target)
     params = init_params(spec, cfg.seed)
-    objective = build_grid_objective(spec, params, dataset, cfg.target,
-                                     cfg.loss_weight)
+    objective = build_grid_objective(spec, params, dataset, cfg.target)
     x0 = objective.pack(leaf_values(spec, params))
     x, losses, lrs, diverged = _adam_loop(
         objective, x0, cfg.resolved_epochs(), lr_fn, weight_decay, plateau)
     params = set_leaf_values(spec, params, objective.unpack(x))
-    log = TrainLog(losses, lrs, [], time.perf_counter() - t0, diverged)
+    log = TrainLog(losses, lrs, [], diverged)
     return _checkpoint(spec, params, cfg, log), log
 
 
 def train_mlp(cfg: TrainConfig):
     """Constant step size, halved on a loss plateau, with weight decay."""
     lr0 = cfg.resolved_lr()
-    plateau = {"threshold": cfg.plateau_threshold, "window": cfg.plateau_window,
-               "factor": cfg.plateau_factor, "floor": cfg.lr_floor}
-    return train_adam(cfg, lambda e: lr0, cfg.weight_decay, plateau)
+    return train_adam(cfg, lambda e: lr0, MLP_WEIGHT_DECAY, MLP_PLATEAU)
 
 
 def train_fkan(cfg: TrainConfig):
@@ -571,20 +552,17 @@ def train_fkan(cfg: TrainConfig):
         cfg, lambda e: fkan_lr_schedule(e, lr0, cadence=cadence), 0.0)
 
 
-def run_lbfgs_stage(spec, params, dataset, target, epochs, lr, weight=100.0,
-                    history=10):
+def run_lbfgs_stage(spec, params, dataset, target, epochs, lr):
     """One LBFGS leg on the grid objective; used per ladder stage and for
     symbolic-regression retraining.  Returns (params, losses, diverged)."""
-    objective = build_grid_objective(spec, params, dataset, target, weight)
+    objective = build_grid_objective(spec, params, dataset, target)
     x0 = objective.pack(leaf_values(spec, params))
-    x, losses, diverged = lbfgs_minimize(objective.value_grad, x0, epochs, lr,
-                                         history)
+    x, losses, diverged = lbfgs_minimize(objective.value_grad, x0, epochs, lr)
     params = set_leaf_values(spec, params, objective.unpack(x))
     return params, losses, diverged
 
 
 def train_kan(cfg: TrainConfig):
-    t0 = time.perf_counter()
     dataset = generate_dataset(cfg.step_mv)
     base = preset(cfg.resolved_arch(), cfg.target)
     ladder = tuple(cfg.ladder)
@@ -594,8 +572,7 @@ def train_kan(cfg: TrainConfig):
     per_stage = cfg.resolved_epochs() // len(ladder)
     lr = cfg.resolved_lr()
     x_norm = device.normalize_voltages(dataset.train_inputs())
-    loss_fn = (lambda y: loss_current(y, dataset, cfg.loss_weight)) \
-        if cfg.target == "I_D" else (lambda y: loss_charge(y, dataset, cfg.target))
+    loss_fn = lambda y: _grid_loss_value(y, dataset, cfg.target)
     log = TrainLog()
     for grid in ladder:
         stage = {"grid": grid, "epoch": len(log.losses)}
@@ -610,14 +587,12 @@ def train_kan(cfg: TrainConfig):
         log.stages.append(stage)
         if per_stage > 0:
             params, losses, diverged = run_lbfgs_stage(
-                spec, params, dataset, cfg.target, per_stage, lr,
-                cfg.loss_weight, cfg.lbfgs_history)
+                spec, params, dataset, cfg.target, per_stage, lr)
             log.losses.extend(losses)
             log.lrs.extend([lr] * len(losses))
             if diverged:
                 log.diverged = True
                 break
-    log.wall_clock = time.perf_counter() - t0
     # a diverged stage ends the ladder early, on that stage's grid
     spec = replace(spec, grid=params.grid_size)
     return _checkpoint(spec, params, cfg, log), log

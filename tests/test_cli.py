@@ -58,6 +58,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert "usage" in err
 
+    @pytest.mark.parametrize("argv,flag", [
+        (("train", "--family", "mlp", "--seed", "abc"), "--seed"),
+        (("train", "--family", "mlp", "--plateau-window", "0"),
+         "--plateau-window"),
+        (("gen-data", "--step", "7", "--out", "x.csv"), "--step"),
+    ], ids=["bad-int", "unknown-flag", "bad-choice"])
+    def test_parse_errors_are_one_line(self, tmp_path, capsys, monkeypatch,
+                                       argv, flag):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err
+        assert os.listdir(tmp_path) == []
+
     def test_version_flag_exits_cleanly(self, capsys):
         assert run("--version") == 0
 
@@ -188,18 +203,44 @@ class TestTrain:
 
     def test_bad_configs_exit_2(self, tmp_path, capsys):
         cases = [
-            "[train]\nfamily = mlp\nturbo = yes\n",          # unknown key
-            "[train]\nfamily = gan\n",                       # unknown family
-            "[train]\nfamily = mlp\nstep_mv = 7\n",          # bad step
-            "[train]\nfamily = mlp\nepochs = soon\n",        # bad value
-            "[extras]\nx = 1\n",                             # unknown section
-            "[run]\nout_dir = x\n",                          # no [train]
+            ("[train]\nfamily = mlp\nturbo = yes\n", "unknown [train] key"),
+            ("[train]\nfamily = gan\n", "unknown family"),
+            ("[train]\nfamily = mlp\nstep_mv = 7\n", "unsupported grid step"),
+            ("[train]\nfamily = mlp\nepochs = soon\n", "bad value"),
+            ("[extras]\nx = 1\n", "unknown config sections"),
+            ("[run]\nout_dir = x\n", "needs a [train] section"),
+            # a constant of the training recipe, not a setting
+            ("[train]\nfamily = mlp\nloss_weight = 100\n",
+             "unknown [train] key"),
         ]
-        for text in cases:
+        for text, message in cases:
             cfg = tmp_path / "bad.ini"
             cfg.write_text(text)
             assert run("train", "--config", str(cfg)) == 2, text
-            assert "error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err, text
+
+    def test_unknown_run_key_exits_2_before_writing(self, tmp_path, capsys,
+                                                   monkeypatch):
+        """A misspelt ``out_dir`` is rejected, not ignored with the
+        artifacts written to the working directory."""
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[train]\nfamily = mlp\ntarget = Q_S\nstep_mv = 50\n"
+                       "epochs = 2\n[run]\noutdir = o\n")
+        assert run("train", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == "error: unknown [run] key 'outdir'\n"
+        assert os.listdir(tmp_path) == ["run.ini"]
+
+    def test_settings_are_one_set(self):
+        """The TrainConfig fields, the [train] keys and the train flags
+        name the same settings."""
+        fields = set(training.TrainConfig.__dataclass_fields__)
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command")
+        dests = {a.dest for a in sub.choices["train"]._actions}
+        assert fields == set(cli.TRAIN_FIELDS)
+        assert dests - {"help", "config", "out_dir", "sweep"} == fields
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "nope.ini")) == 2
@@ -237,13 +278,13 @@ class TestTrain:
     @pytest.mark.parametrize("extra", [
         ("--lr", "nan"),
         ("--lr", "0"),
-        ("--loss-weight", "-1"),
-        ("--weight-decay", "inf"),
-        ("--plateau-window", "0"),
-        ("--plateau-threshold", "1"),
-        ("--plateau-factor", "1.5"),
-        ("--lr-floor=-1e-5",),
-        ("--lbfgs-history", "0"),
+        ("--lr", "inf"),
+        ("--lr=-1",),
+        ("--epochs", "1.5"),
+        ("--sweep", "two"),
+        ("--step-mv", "7"),
+        ("--seed", "1e3"),
+        ("--family", "kan", "--ladder", "0,2"),
         ("--family", "kan", "--ladder", "4,2"),
     ])
     def test_bad_numeric_flags_exit_2_before_writing(self, tmp_path, capsys,
@@ -382,6 +423,52 @@ class TestEval:
         assert run("eval", "--checkpoint", str(tmp_path / "no.txt"),
                    "--out-dir", str(tmp_path)) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_network_without_target_exits_2(self, tmp_path, capsys):
+        """A network checkpoint with no ``meta target`` is neither scored
+        as a current by eval nor fitted as a charge by symbolic."""
+        spec = networks.preset("kan1", "Q_S")
+        path = tmp_path / "ck.txt"
+        networks.save_checkpoint(networks.Checkpoint(
+            spec, networks.init_params(spec, seed=0),
+            {"seed": 0, "step_mv": 50}), path)
+        for command in ("eval", "symbolic"):
+            out = tmp_path / command
+            assert run(command, "--checkpoint", str(path), "--out-dir",
+                       str(out)) == 2
+            assert capsys.readouterr().err == \
+                "error: checkpoint has no 'meta target' entry\n"
+            assert not out.exists()
+
+    def test_oracle_without_target_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ck.txt"
+        lines = read(oracle_checkpoint_file(tmp_path)).split("\n")
+        path.write_text("\n".join(ln for ln in lines
+                                  if not ln.startswith("meta target ")))
+        for command, flag in (("eval", "--checkpoint"),
+                              ("report", "--checkpoints"),
+                              ("derivs", "--checkpoint")):
+            out = tmp_path / command
+            assert run(command, flag, str(path), "--out-dir", str(out)) == 2
+            assert capsys.readouterr().err == \
+                "error: checkpoint has no 'meta target' entry\n"
+            assert not out.exists()
+
+    def test_checkpoint_without_step_needs_the_flag(self, tmp_path, capsys):
+        """With no ``meta step_mv`` the grid step is not guessed."""
+        path = tmp_path / "ck.txt"
+        lines = read(oracle_checkpoint_file(tmp_path)).split("\n")
+        path.write_text("\n".join(ln for ln in lines
+                                  if not ln.startswith("meta step_mv ")))
+        out = tmp_path / "rep"
+        assert run("eval", "--checkpoint", str(path), "--out-dir",
+                   str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--step" in err
+        assert not out.exists()
+        assert run("eval", "--checkpoint", str(path), "--step", "50",
+                   "--out-dir", str(out)) == 0
+        assert read(out / "summary.csv").split("\n")[1].startswith("Q_D,50,")
 
 
 class TestDerivs:

@@ -539,6 +539,18 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="relu"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("target", ["Q_X", "I_D", None])
+    def test_target_must_fit_the_conversion(self, target, tmp_path):
+        """A target that is not a field, or whose head conversion is not
+        the header's, is rejected at load."""
+        spec = preset("mlp1", "Q_S")
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, init_params(spec, 0),
+                                   {"target": target}), path)
+        with pytest.raises(CheckpointError, match=(
+                f"meta target {target!r} is not a charge-scale field")):
+            load_checkpoint(path)
+
     def test_oracle_checkpoint_round_trip(self, tmp_path):
         spec = preset("oracle", "I_D")
         ck = Checkpoint(spec, None, {"target": "I_D"})
@@ -586,7 +598,8 @@ def any_network(draw):
 
 def _saved_lines(spec, params, tmp) -> list:
     path = os.path.join(tmp, "ck.txt")
-    save_checkpoint(Checkpoint(spec, params, {"seed": 3, "target": "Q_S"}),
+    target = "I_D" if spec.conversion == "exp-current" else "Q_S"
+    save_checkpoint(Checkpoint(spec, params, {"seed": 3, "target": target}),
                     path)
     with open(path) as fh:
         return fh.read().splitlines()

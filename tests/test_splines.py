@@ -374,6 +374,28 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refine(act, 4)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refinement_is_exact_on_random_knots(self, data):
+        """A spline on random non-uniform knots, refined to any larger
+        grid, keeps its values inside the domain and on the boundary
+        extension half a domain width out."""
+        grid = data.draw(st.integers(1, 8))
+        order = data.draw(st.integers(0, 3))
+        gaps = np.array(data.draw(st.lists(st.floats(0.1, 1.0),
+                                           min_size=grid, max_size=grid)))
+        interior = tuple(np.cumsum(gaps)[:-1] / gaps.sum())
+        kv = KnotVector(grid, order, interior=interior)
+        coeffs = np.array(data.draw(st.lists(
+            st.floats(-5.0, 5.0), min_size=kv.n_basis, max_size=kv.n_basis)))
+        act = SplineActivation(kv, coeffs, w_b=0.0)
+        fine = refine(act, data.draw(st.integers(grid + 1, 3 * grid + 4)))
+        xs = np.concatenate([np.linspace(0.0, 1.0, 301), interior,
+                             np.linspace(-0.5, 0.0, 51),
+                             np.linspace(1.0, 1.5, 51)])
+        assert_allclose(spline_eval(fine, xs), spline_eval(act, xs),
+                        rtol=0, atol=1e-9)
+
     def test_rank_deficient_system_raises(self):
         """The least-squares helper refuses singular design matrices."""
         design = np.zeros((20, 3))

@@ -19,14 +19,14 @@ def grad_oracle(field, h, axis, order=1):
     return out
 
 
-def loss_current_oracle(y, dataset, weight=100.0):
+def loss_current_oracle(y, dataset):
     n = dataset.train_indices.size
     yf = np.asarray(y, dtype=float).reshape(n, n)
     i_true = dataset.train_field("I_D")
     h = dataset.step_mv / 1000.0
     i_model = np.exp(yf)
     log_true = np.log(np.clip(i_true, training.CURRENT_FLOOR, None))
-    total = weight * np.mean((i_model - i_true) ** 2)
+    total = 100.0 * np.mean((i_model - i_true) ** 2)
     total += np.mean((yf - log_true) ** 2)
     for axis in (1, 0):
         for order in (1, 2):
@@ -62,15 +62,6 @@ class FakeObjective:
         if f is None:
             return np.inf, None
         return float(f), np.zeros(self.n)
-
-
-class TestMse:
-    def test_worked_example(self):
-        assert_allclose(training.mse([1.0, 3.0], [0.0, 1.0]), 2.5, rtol=1e-15)
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            training.mse(np.zeros(3), np.zeros(4))
 
 
 class TestLogTargets:
@@ -111,16 +102,6 @@ class TestGridLosses:
         y = rng.normal(0.0, 10.0, size=ds.train_count)
         assert_allclose(training.loss_charge(y, ds, "Q_S"),
                         loss_charge_oracle(y, ds, "Q_S"), rtol=1e-12)
-
-    def test_loss_weight_scales_value_term(self):
-        ds = device.generate_dataset(50)
-        rng = np.random.default_rng(7)
-        y = rng.normal(-10.0, 1.0, size=ds.train_count)
-        hi = training.loss_current(y, ds, weight=200.0)
-        lo = training.loss_current(y, ds, weight=100.0)
-        i_true = ds.train_field("I_D")
-        value_term = training.mse(np.exp(y.reshape(i_true.shape)), i_true)
-        assert_allclose(hi - lo, 100.0 * value_term, rtol=1e-9)
 
 
 class TestTapeObjectives:
