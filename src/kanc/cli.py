@@ -160,8 +160,11 @@ def build_train_config(args) -> tuple:
     for name in TRAIN_FIELDS:
         flag = getattr(args, name, None)
         if flag is not None:
-            values[name] = (TRAIN_FIELDS[name](flag)
-                            if isinstance(flag, str) else flag)
+            try:
+                values[name] = (TRAIN_FIELDS[name](flag)
+                                if isinstance(flag, str) else flag)
+            except ValueError:   # only --ladder is parsed here
+                raise ConfigError(f"bad value for --{name}: {flag!r}") from None
     if "family" not in values:
         raise ConfigError("a network family is required (flag or [train] section)")
     if args.out_dir is not None:

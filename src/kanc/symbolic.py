@@ -543,9 +543,10 @@ def iterative_sr(ck: Checkpoint, dataset, k: int,
     params = copy.deepcopy(ck.params)
     target = ck.target
     if retrain_epochs is None:
-        retrain_epochs = max(1, int(ck.meta.get("epochs", 1500)) // 5)
+        budget = ck.meta.get("epochs", training.DESK_EPOCHS["kan"])
+        retrain_epochs = max(1, int(budget) // 5)
     if lr is None:
-        lr = 0.1 if target == "I_D" else 1.0
+        lr = training.TrainConfig(family="kan", target=target).resolved_lr()
     x_norm = device.normalize_voltages(dataset.train_inputs())
     all_edges = edge_ids(params)
     fits: dict = {}

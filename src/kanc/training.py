@@ -15,6 +15,7 @@ coarse-to-fine grid ladder.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +50,9 @@ MLP_WEIGHT_DECAY = 1e-5
 # relative gain, and stop once it is below ``floor``
 MLP_PLATEAU = {"threshold": 1e-3, "window": 500, "factor": 0.5, "floor": 1e-5}
 LBFGS_HISTORY = 10
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9   # line search: sufficient decrease, curvature
+WOLFE_TOLERANCE = 1e-9           # narrowest bracket, as a parameter change
+WOLFE_MAX_PROBES = 25
 
 
 # ----------------------------------------------------------------------
@@ -215,9 +219,11 @@ def fkan_lr_schedule(epoch: int, lr0: float = 0.002, decay: float = 0.85,
     return lr0 * decay ** (epoch // cadence)
 
 
-def _cubic_interpolate(x1, f1, g1, x2, f2, g2, bounds=None):
-    """Minimizer of the cubic through two (position, value, slope) pairs,
-    clipped into the bracket."""
+def _cubic_interpolate(p1, p2, bounds=None):
+    """Minimizer of the cubic through two :func:`_strong_wolfe` records
+    (step, value, gradient, slope), clipped into the bracket."""
+    x1, f1, _, g1 = p1
+    x2, f2, _, g2 = p2
     if bounds is not None:
         xmin_bound, xmax_bound = bounds
     else:
@@ -241,108 +247,71 @@ def _cubic_interpolate(x1, f1, g1, x2, f2, g2, bounds=None):
     return (xmin_bound + xmax_bound) / 2.0
 
 
-def _strong_wolfe(obj, t, d, f, g, gtd, c1=1e-4, c2=0.9,
-                  tolerance_change=1e-9, max_ls=25):
+def _strong_wolfe(obj, t, d, f, g, gtd):
     """Bracket-and-zoom line search enforcing the strong Wolfe conditions.
 
     ``obj(step)`` returns (value, flat gradient); a None gradient marks a
-    non-finite evaluation and is treated as an overshoot.
+    non-finite evaluation and is treated as an overshoot.  Each probed
+    point is one (step, value, gradient, slope) record.  Returns the value,
+    gradient and step of the accepted point and the evaluation count.
     """
     def probe(step):
         f_new, g_new = obj(step)
         if g_new is None:
-            return np.inf, None, np.inf
-        return f_new, g_new, float(g_new @ d)
+            return step, np.inf, None, np.inf
+        return step, f_new, g_new, float(g_new @ d)
+
+    def too_high(point, reference):
+        """Armijo fails, no decrease against ``reference``, or not finite."""
+        return (point[1] > (f + WOLFE_C1 * point[0] * gtd)
+                or point[1] >= reference or not np.isfinite(point[1]))
 
     d_norm = float(np.max(np.abs(d)))
-    g = g.copy()
-    f_new, g_new, gtd_new = probe(t)
-    ls_func_evals = 1
-    t_prev, f_prev, g_prev, gtd_prev = 0.0, f, g, gtd
-    done = False
-    ls_iter = 0
-    while ls_iter < max_ls:
-        if f_new > (f + c1 * t * gtd) or (ls_iter > 1 and f_new >= f_prev) \
-                or not np.isfinite(f_new):
-            bracket = [t_prev, t]
-            bracket_f = [f_prev, f_new]
-            bracket_g = [g_prev, g_new]
-            bracket_gtd = [gtd_prev, gtd_new]
+    start = (0.0, f, g.copy(), gtd)
+    prev, new = start, probe(t)
+    evals = 1
+    while evals <= WOLFE_MAX_PROBES:
+        if too_high(new, prev[1] if evals > 2 else np.inf):
+            bracket = [prev, new]
             break
-        if abs(gtd_new) <= -c2 * gtd:
-            bracket = [t]
-            bracket_f = [f_new]
-            bracket_g = [g_new]
-            bracket_gtd = [gtd_new]
-            done = True
+        if abs(new[3]) <= -WOLFE_C2 * gtd:
+            return new[1], new[2], new[0], evals
+        if new[3] >= 0:
+            bracket = [prev, new]
             break
-        if gtd_new >= 0:
-            bracket = [t_prev, t]
-            bracket_f = [f_prev, f_new]
-            bracket_g = [g_prev, g_new]
-            bracket_gtd = [gtd_prev, gtd_new]
-            break
-        min_step = t + 0.01 * (t - t_prev)
-        max_step = t * 10
-        tmp = t
-        t = _cubic_interpolate(t_prev, f_prev, gtd_prev, t, f_new, gtd_new,
-                               bounds=(min_step, max_step))
-        t_prev, f_prev, g_prev, gtd_prev = tmp, f_new, g_new, gtd_new
-        f_new, g_new, gtd_new = probe(t)
-        ls_func_evals += 1
-        ls_iter += 1
+        bounds = (new[0] + 0.01 * (new[0] - prev[0]), new[0] * 10)
+        prev, new = new, probe(_cubic_interpolate(prev, new, bounds))
+        evals += 1
     else:
-        bracket = [0.0, t]
-        bracket_f = [f, f_new]
-        bracket_g = [g, g_new]
-        bracket_gtd = [gtd, gtd_new]
+        bracket = [start, new]
 
+    # zoom; ``low`` and ``high`` are positions in ``bracket``
     insuf_progress = False
-    low_pos, high_pos = (0, 1) if bracket_f[0] <= bracket_f[-1] else (1, 0)
-    while not done and ls_iter < max_ls and len(bracket) > 1:
-        if abs(bracket[1] - bracket[0]) * d_norm < tolerance_change:
+    low, high = (0, 1) if bracket[0][1] <= bracket[1][1] else (1, 0)
+    while evals <= WOLFE_MAX_PROBES:
+        lo, hi = sorted((bracket[0][0], bracket[1][0]))
+        if (hi - lo) * d_norm < WOLFE_TOLERANCE:
             break
-        t = _cubic_interpolate(bracket[0], bracket_f[0], bracket_gtd[0],
-                               bracket[1], bracket_f[1], bracket_gtd[1])
-        eps = 0.1 * (max(bracket) - min(bracket))
-        if min(max(bracket) - t, t - min(bracket)) < eps:
-            if insuf_progress or t >= max(bracket) or t <= min(bracket):
-                if abs(t - max(bracket)) < abs(t - min(bracket)):
-                    t = max(bracket) - eps
-                else:
-                    t = min(bracket) + eps
-                insuf_progress = False
-            else:
-                insuf_progress = True
+        t = _cubic_interpolate(*bracket)
+        eps = 0.1 * (hi - lo)
+        near_edge = min(hi - t, t - lo) < eps
+        if near_edge and (insuf_progress or not lo < t < hi):
+            t = hi - eps if abs(t - hi) < abs(t - lo) else lo + eps
+            near_edge = False
+        insuf_progress = near_edge
+        new = probe(t)
+        evals += 1
+        if too_high(new, bracket[low][1]):
+            bracket[high] = new
+            low, high = (0, 1) if bracket[0][1] <= bracket[1][1] else (1, 0)
+        elif abs(new[3]) <= -WOLFE_C2 * gtd:
+            return new[1], new[2], new[0], evals
         else:
-            insuf_progress = False
-        f_new, g_new, gtd_new = probe(t)
-        ls_func_evals += 1
-        ls_iter += 1
-        if f_new > (f + c1 * t * gtd) or f_new >= bracket_f[low_pos] \
-                or not np.isfinite(f_new):
-            bracket[high_pos] = t
-            bracket_f[high_pos] = f_new
-            bracket_g[high_pos] = g_new
-            bracket_gtd[high_pos] = gtd_new
-            low_pos, high_pos = (0, 1) if bracket_f[0] <= bracket_f[1] else (1, 0)
-        else:
-            if abs(gtd_new) <= -c2 * gtd:
-                done = True
-            elif gtd_new * (bracket[high_pos] - bracket[low_pos]) >= 0:
-                bracket[high_pos] = bracket[low_pos]
-                bracket_f[high_pos] = bracket_f[low_pos]
-                bracket_g[high_pos] = bracket_g[low_pos]
-                bracket_gtd[high_pos] = bracket_gtd[low_pos]
-            bracket[low_pos] = t
-            bracket_f[low_pos] = f_new
-            bracket_g[low_pos] = g_new
-            bracket_gtd[low_pos] = gtd_new
-
-    if len(bracket) == 1:
-        return f_new, g_new, t, ls_func_evals
-    t = bracket[low_pos]
-    return bracket_f[low_pos], bracket_g[low_pos], t, ls_func_evals
+            if new[3] * (bracket[high][0] - bracket[low][0]) >= 0:
+                bracket[high] = bracket[low]
+            bracket[low] = new
+    step, value, grad, _ = bracket[low]
+    return value, grad, step, evals
 
 
 def lbfgs_minimize(value_grad, x0: np.ndarray, max_iter: int, lr: float):
@@ -355,32 +324,28 @@ def lbfgs_minimize(value_grad, x0: np.ndarray, max_iter: int, lr: float):
     f, g = value_grad(x)
     if g is None or not np.isfinite(f):
         return x, [], True
-    s_hist: list = []
-    y_hist: list = []
-    rho_hist: list = []
+    history = deque(maxlen=LBFGS_HISTORY)   # (s, y, rho), oldest first
     losses = []
     diverged = False
     for it in range(max_iter):
         q = -g
-        if s_hist:
+        if history:
             alphas = []
-            for s, yv, rho in zip(reversed(s_hist), reversed(y_hist),
-                                  reversed(rho_hist)):
+            for s, yv, rho in reversed(history):
                 a = rho * float(s @ q)
                 alphas.append(a)
                 q = q - a * yv
-            gamma = float(s_hist[-1] @ y_hist[-1]) / float(
-                y_hist[-1] @ y_hist[-1])
+            s, yv, _ = history[-1]
+            gamma = float(s @ yv) / float(yv @ yv)
             q = gamma * q
-            for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist),
-                                       reversed(alphas)):
+            for (s, yv, rho), a in zip(history, reversed(alphas)):
                 b = rho * float(yv @ q)
                 q = q + s * (a - b)
         direction = q
         gtd = float(g @ direction)
         if gtd > -1e-16:
             # stale curvature made this a non-descent direction; reset
-            s_hist.clear(), y_hist.clear(), rho_hist.clear()
+            history.clear()
             direction = -g
             gtd = float(g @ direction)
             if gtd > -1e-16:
@@ -403,11 +368,7 @@ def lbfgs_minimize(value_grad, x0: np.ndarray, max_iter: int, lr: float):
         y_vec = g_new - g
         sy = float(step_vec @ y_vec)
         if sy > 1e-10:
-            if len(s_hist) >= LBFGS_HISTORY:
-                s_hist.pop(0), y_hist.pop(0), rho_hist.pop(0)
-            s_hist.append(step_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
+            history.append((step_vec, y_vec, 1.0 / sy))
         x = x + step_vec
         f, g = f_new, g_new
         losses.append(f)

@@ -295,6 +295,17 @@ class TestTrain:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("ladder", ["2,x", "", "2,,4.5"])
+    def test_bad_ladder_flag_names_itself(self, tmp_path, capsys, ladder):
+        """A ladder flag that does not parse says which flag and value,
+        as the same value in ``[train]`` does."""
+        out = tmp_path / "o"
+        assert run(*self.flags(out, "--family", "kan", "--ladder",
+                               ladder)) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad value for --ladder: {ladder!r}\n")
+        assert not out.exists()
+
     def test_config_numeric_values_are_checked(self, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text("[train]\nfamily = mlp\nlr = nan\n"

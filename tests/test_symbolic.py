@@ -475,6 +475,26 @@ class TestIterativeLoop:
         first_edge = rounds[0]["fixed"][0][0]
         assert best[first_edge] == min(best.values())
 
+    def test_retraining_takes_the_spline_step_size_and_budget(
+            self, monkeypatch):
+        """Without ``lr`` the retraining stage gets the step size that
+        ``kanc train`` gives a spline network of that target, and a
+        checkpoint without a recorded budget retrains for a fifth of the
+        spline desk budget."""
+        ck, ds = self.trained_checkpoint((2, 1, 1), "Q_S")
+        del ck.meta["epochs"]
+        sentinel = 0.123
+        monkeypatch.setattr(training.TrainConfig, "resolved_lr",
+                            lambda cfg: sentinel)
+        stages = []
+
+        def stage(spec, params, dataset, target, epochs, lr):
+            stages.append((epochs, lr))
+            return params, [], False
+        monkeypatch.setattr(training, "run_lbfgs_stage", stage)
+        iterative_sr(ck, ds, k=1)
+        assert stages == [(training.DESK_EPOCHS["kan"] // 5, sentinel)] * 3
+
     def test_non_spline_checkpoint_rejected(self):
         spec = networks.preset("mlp1", "Q_S")
         ck = networks.Checkpoint(spec, networks.init_params(spec, 0),

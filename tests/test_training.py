@@ -4,6 +4,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from kanc import device, networks, training
@@ -364,7 +366,8 @@ class TestLbfgs:
     def test_cubic_step_survives_overflowing_slopes(self, bounds):
         """Slopes near 1e200 square past the float range; the step falls
         back to the middle of the bracket instead of raising."""
-        t = training._cubic_interpolate(0.0, 1.0, 1e200, 1.0, 2.0, 1e200,
+        t = training._cubic_interpolate((0.0, 1.0, None, 1e200),
+                                        (1.0, 2.0, None, 1e200),
                                         bounds=bounds)
         lo, hi = bounds or (0.0, 1.0)
         assert lo <= t <= hi
@@ -373,8 +376,112 @@ class TestLbfgs:
     def test_cubic_step_survives_silently_overflowing_product(self):
         """``g1 * g2`` overflows to -inf without raising, which made the
         cubic's minimizer inf/inf = nan; the step bisects instead."""
-        t = training._cubic_interpolate(0.0, 1.0, 1e300, 1.0, 2.0, -1e300)
+        t = training._cubic_interpolate((0.0, 1.0, None, 1e300),
+                                        (1.0, 2.0, None, -1e300))
         assert t == 0.5
+
+
+def along(fn):
+    """Line objective along the one-dimensional direction ``[1]``:
+    ``fn(step)`` gives (value, slope), or None for a non-finite point."""
+    def obj(step):
+        out = fn(step)
+        return (np.inf, None) if out is None else (out[0], np.array([out[1]]))
+    return obj
+
+
+def scripted(points):
+    """Line objective that answers its k-th probe with ``points[k]``,
+    wherever that probe lands."""
+    answers = iter(points)
+
+    def obj(step):
+        f, slope = next(answers)
+        return f, np.array([slope])
+    return obj
+
+
+def bowl(t):
+    """exp(t) - 2t: value 1 and slope -1 at the start, minimum at ln 2."""
+    return float(np.exp(t) - 2 * t), float(np.exp(t) - 2)
+
+
+class TestStrongWolfe:
+    """Each way the line search can end, pinned to the exact value, step
+    and evaluation count it returns."""
+
+    @staticmethod
+    def search(obj, t0, f0=1.0, slope0=-1.0):
+        f, g, t, evals = training._strong_wolfe(
+            obj, t0, np.array([1.0]), f0, np.array([slope0]), slope0)
+        return float(f), float(t), evals
+
+    def test_wolfe_met_on_first_probe(self):
+        assert self.search(along(bowl), 0.7) == (0.6137527074704767, 0.7, 1)
+
+    def test_armijo_failure_then_zoom(self):
+        assert self.search(along(bowl), 5.0) == (
+            0.6302881517085832, 0.819214840584849, 3)
+
+    def test_positive_slope_then_zoom(self):
+        assert self.search(along(bowl), 1.2) == (
+            0.6137215463907053, 0.6891561054764397, 2)
+
+    def test_non_finite_probe_is_an_overshoot(self):
+        obj = along(lambda t: None if t > 3.0 else bowl(t))
+        assert self.search(obj, 10.0) == (
+            0.6458899528158564, 0.8673395933231385, 4)
+
+    def test_probe_budget_exhausted(self):
+        """A line that falls forever extrapolates until the probes run
+        out, then returns the furthest point."""
+        obj = along(lambda t: (-t, -1.0))
+        assert self.search(obj, 1.0, f0=0.0) == (
+            -5.978050147048716e+18, 5.978050147048716e+18, 26)
+
+    def test_bracket_below_tolerance_returns_the_start(self):
+        obj = along(lambda t: (2.0, -1.0))
+        assert self.search(obj, 1e-12) == (1.0, 0.0, 1)
+
+    def test_zoom_moves_the_far_end_to_the_near_one(self):
+        """A probe that passes Armijo with its slope pointing back towards
+        the low end makes the low end the new high end."""
+        obj = scripted([(2.0, 5.0), (0.5, 3.0), (0.4, -0.05)])
+        assert self.search(obj, 1.0) == (0.4, 0.3244014848906636, 3)
+
+    def test_zoom_steps_away_from_the_bracket_edges(self):
+        """An interpolant within a tenth of the bracket from one end is
+        probed once; on the next near miss, or outside the bracket, it is
+        pushed that tenth inwards."""
+        obj = scripted([(1.786, -1.866), (1.594, -1.297), (1.795, 0.166),
+                        (0.95, -0.309)])
+        assert self.search(obj, 1.0) == (0.95, 1.643511147736594e-05, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 2**32 - 1),
+           st.floats(1e-3, 1e3))
+    def test_convex_quadratic_step_never_rises(self, n, seed, t0):
+        """On a strictly convex quadratic along a descent direction the
+        returned value never exceeds the start, and a search that ended
+        before its probe budget returns a step that passes Armijo."""
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        a = m @ m.T + 0.1 * np.eye(n)
+        b = rng.normal(size=n)
+        x0 = rng.normal(size=n)
+
+        def value_grad(x):
+            return float(0.5 * x @ a @ x - b @ x), a @ x - b
+
+        f0, g0 = value_grad(x0)
+        d = -g0 + 0.5 * rng.normal(size=n) * np.linalg.norm(g0) / np.sqrt(n)
+        gtd = float(g0 @ d)
+        assume(gtd < -1e-12)
+        f, _, t, evals = training._strong_wolfe(
+            lambda step: value_grad(x0 + step * d), t0, d, f0, g0, gtd)
+        assert f <= f0
+        if evals < training.WOLFE_MAX_PROBES:
+            assert not f > f0 + training.WOLFE_C1 * t * gtd
 
 
 class TestRunLbfgsStage:
