@@ -332,6 +332,11 @@ def cmd_symbolic(args) -> int:
 
 def cmd_report(args) -> int:
     cks = [networks.load_checkpoint(p) for p in args.checkpoints]
+    steps = [ck.meta.get("step_mv") for ck in cks]
+    if args.step is None and len(set(steps)) > 1:
+        raise ConfigError("the checkpoints were trained at different steps ("
+                          + ", ".join("none" if s is None else f"{s} mV"
+                                      for s in steps) + "); pass --step")
     dataset = _load_dataset_for(cks[0], args.step, None)
     names = evaluate.make_report(cks, dataset, args.out_dir)
     write_manifest(os.path.join(args.out_dir, "manifest.json"), "report",
@@ -388,9 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="summary errors and sweep curves")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--step", type=int, choices=device.TRAIN_STEPS_MV,
-                   help="regenerate the dataset at this step")
-    p.add_argument("--data", help="dataset CSV from gen-data")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--step", type=int, choices=device.TRAIN_STEPS_MV,
+                        help="regenerate the dataset at this step")
+    source.add_argument("--data", help="dataset CSV from gen-data")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_eval)
 

@@ -11,18 +11,17 @@ after that, and the backward pass sends no adjoint into them.
 
 Every elementwise function is one row of :data:`ELEMENTWISE`, its numpy
 function and its adjoint, and one ``call`` op applies any row; the
-symbolic primitives (:mod:`kanc.symbolic`) read the same table, so the
-tape, the fit and the formula evaluate each function the same way.
+primitives of pinned edges (:data:`networks.LIBRARY`) read the same table,
+so the tape, the fit and the formula evaluate each function the same way.
 
 A Fourier edge layer is one ``fourier`` node, its bias included.  Its
-tables of ``cos(k h)`` and ``sin(k h)`` come from :func:`fourier_tables`,
+table of ``cos(k h)`` and ``sin(k h)`` comes from :func:`fourier_table`,
 which takes a single ``np.cos``/``np.sin`` pair of ``h`` and builds the
 higher frequencies by the Chebyshev recurrence ``cos((k+1)h) = 2 cos(h)
 cos(kh) - cos((k-1)h)`` (and the same for sine), two in-place passes per
-row.  They are held feature-major, as one (2, grid, n_in, N) buffer
-(:func:`fourier_table`), so the forward, the weight adjoint and the input
-adjoint are each one BLAS call over it.  A
-spline edge layer is one ``kan_layer`` node.  It works on the
+row.  The table is feature-major, one (2, grid, n_in, N) buffer, so the
+forward, the weight adjoint and the input adjoint are each one BLAS call
+over it.  A spline edge layer is one ``kan_layer`` node.  It works on the
 ``order + 1`` local basis rows of :func:`splines._local_basis`, one kernel
 call per input column, and builds no dense basis matrix.
 
@@ -102,20 +101,20 @@ ELEMENTWISE = {
 }
 
 
-def fourier_tables(h: np.ndarray, grid: int, out=None):
-    """Tables ``C[k-1] = cos(k h)`` and ``S[k-1] = sin(k h)`` for
-    ``k = 1..grid``, each of shape (grid, *h.shape).
+def fourier_table(h: np.ndarray, grid: int, out=None) -> np.ndarray:
+    """Feature-major table ``P`` of an (N, n_in) input, shape (2, grid,
+    n_in, N): ``P[0, k-1] = cos(k h).T`` and ``P[1, k-1] = sin(k h).T`` for
+    ``k = 1..grid``, filled into ``out`` when given.
 
-    Only ``c = cos(h)`` and ``s = sin(h)`` are evaluated; the higher
-    frequencies follow the Chebyshev recurrence ``cos((k+1)h) = 2c cos(kh)
-    - cos((k-1)h)``, and the same for sine, from ``cos(0) = 1`` and
-    ``sin(0) = 0``: two in-place passes per row.  For ``k <= 8`` and
+    Only ``c = cos(h)`` and ``s = sin(h)`` are evaluated, on the ``h.T``
+    view; the higher rows follow the Chebyshev recurrence ``cos((k+1)h) =
+    2c cos(kh) - cos((k-1)h)``, and the same for sine, from ``cos(0) = 1``
+    and ``sin(0) = 0``: two in-place passes per row.  For ``k <= 8`` and
     ``|h| <= 50`` the entries are within 1e-13 of ``np.cos(k * h)``.
-    ``out`` is an optional ``(C, S)`` pair of arrays to fill.
     """
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(h, dtype=float).T
     if out is None:
-        out = (np.empty((grid,) + h.shape), np.empty((grid,) + h.shape))
+        out = np.empty((2, grid) + h.shape)
     C, S = out
     c, s = np.cos(h, out=C[0]), np.sin(h, out=S[0])
     if grid > 1:
@@ -128,17 +127,6 @@ def fourier_tables(h: np.ndarray, grid: int, out=None):
         C[k] -= C[k - 2]
         np.multiply(two_c, S[k - 1], out=S[k])
         S[k] -= S[k - 2]
-    return C, S
-
-
-def fourier_table(h: np.ndarray, grid: int, out=None) -> np.ndarray:
-    """Feature-major table ``P`` of an (N, n_in) input, shape
-    (2, grid, n_in, N): ``P[0, k-1] = cos(k h).T`` and ``P[1, k-1] =
-    sin(k h).T``, filled by :func:`fourier_tables` on ``h.T``.  ``out`` is
-    an optional table of that shape to fill in place."""
-    if out is None:
-        out = np.empty((2, grid) + h.shape[::-1])
-    fourier_tables(h.T, grid, out=(out[0], out[1]))
     return out
 
 
@@ -319,11 +307,11 @@ class Tape:
                     folded[idx] = val
         return v[-1]
 
-    def backward(self, output_index: int | None = None) -> dict:
+    def backward(self) -> dict:
+        """Adjoints of every leaf, by name, seeded at the last node."""
         if not self.values or self.values[0] is None:
             raise RuntimeError("run forward before backward")
-        if output_index is None:
-            output_index = len(self.nodes) - 1
+        output_index = len(self.nodes) - 1
         out_val = self.values[output_index]
         if np.asarray(out_val).size != 1:
             raise ValueError("backward seeds a scalar output node")

@@ -7,11 +7,11 @@ log-amperes, "charge-scale" heads emit charge in scaled units.
 The spline network follows the sum-of-edge-functions construction: every
 edge carries its own learnable curve ``w_b silu(x) + w_s sum_i c_i B_i(x)``
 and every node adds its incoming edges plus a bias.  Edges can later be
-pinned to a closed-form primitive (see :mod:`kanc.symbolic`); pinned edges
-keep their affine wrapper trainable; their spline coefficients get no
-gradient.  Parameter arrays are named once, by checkpoint name, in
-:func:`_param_table` (tape leaves, leaf values, checkpoints); on the tape a
-spline layer is one ``kan_layer`` node over its four arrays.
+pinned to a primitive of :data:`LIBRARY`; pinned edges keep their affine
+wrapper trainable; their spline coefficients get no gradient.  Parameter
+arrays are named and shaped once, by checkpoint name, in :func:`_param_table`
+(tape leaves and values, checkpoints, parameter counts); on the tape a spline
+layer is one ``kan_layer`` node over its four arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import device, splines
-from .diffengine import Tape, fourier_sum, fourier_table
+from .diffengine import ELEMENTWISE, Tape, _power, fourier_sum, fourier_table
 
 CONVERSIONS = ("exp-current", "charge-scale")
 KINDS = ("mlp", "kan", "fkan", "oracle")
@@ -106,6 +106,42 @@ class MlpParams:
 
 
 @dataclass(frozen=True)
+class BasicFunction:
+    """A library primitive: a power of its argument (``form`` is the
+    exponent) or a function of ``diffengine.ELEMENTWISE`` (``form`` is its
+    name).  Its value, tape nodes and expression all follow from ``form``."""
+
+    name: str
+    form: float | str
+
+    def fn(self, x):
+        """numpy value at ``x``, with numpy's warnings left on."""
+        if isinstance(self.form, str):
+            return ELEMENTWISE[self.form][0](x)
+        return _power(x, self.form)
+
+    def __call__(self, x):
+        with np.errstate(all="ignore"):
+            return self.fn(np.asarray(x, dtype=float))
+
+    def build(self, tape, node: int) -> int:
+        """The primitive of tape node ``node``; ``x`` adds no node."""
+        if isinstance(self.form, str):
+            return tape.call(node, self.form)
+        return node if self.form == 1.0 else tape.pow(node, self.form)
+
+
+# LIBRARY order breaks ties in ``symbolic.suggest``.
+LIBRARY = tuple(BasicFunction(name, form) for name, form in (
+    ("x", 1.0), ("x^2", 2.0), ("x^3", 3.0), ("1/x", -1.0), ("1/x^2", -2.0),
+    ("exp", "exp"), ("log", "log"), ("sin", "sin"), ("cos", "cos"),
+    ("tan", "tan"), ("tanh", "tanh"), ("atan", "atan"), ("abs", "abs"),
+    ("sqrt", 0.5)))
+
+LIBRARY_BY_NAME = {f.name: f for f in LIBRARY}
+
+
+@dataclass(frozen=True)
 class FixedEdge:
     """A pinned edge: output is c * f(a x + b) + d for a library primitive."""
 
@@ -116,14 +152,16 @@ class FixedEdge:
     d: float
 
     def __call__(self, x):
-        """Edge output; inputs outside the primitive's domain give inf or
-        nan without warnings."""
-        from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
-
-        f = LIBRARY_BY_NAME[self.name]
+        """Edge output; outside the primitive's domain, inf or nan, silently."""
         with np.errstate(all="ignore"):
-            return self.c * f(self.a * np.asarray(x, dtype=float)
-                              + self.b) + self.d
+            return self.c * LIBRARY_BY_NAME[self.name](
+                self.a * np.asarray(x, dtype=float) + self.b) + self.d
+
+    def build(self, tape, x: int, a: int, b: int, c: int, d: int) -> int:
+        """Record ``c f(a x + b) + d`` over the tape nodes x, a, b, c, d."""
+        inner = tape.add(tape.mul(x, a), b)
+        body = LIBRARY_BY_NAME[self.name].build(tape, inner)
+        return tape.add(tape.mul(body, c), d)
 
 
 @dataclass
@@ -239,24 +277,10 @@ def init_params(spec: NetworkSpec, seed: int = 0, grid_size: int | None = None):
 
 
 def param_count(spec: NetworkSpec) -> int:
-    """Trainable parameter count under this package's conventions.
-
-    Spline networks count (order + grid + 2) numbers per edge (coefficients
-    plus the two blend weights) at the spec's final grid, plus one bias per
-    node.  Fourier layers count cos and sin tables plus node biases.
-    """
-    pairs = list(zip(spec.widths[:-1], spec.widths[1:]))
-    if spec.kind == "mlp":
-        return sum(n_in * n_out + n_out for n_in, n_out in pairs)
-    if spec.kind == "kan":
-        per_edge = spec.grid + spec.spline_order + 2
-        return sum(n_in * n_out * per_edge + n_out for n_in, n_out in pairs)
-    if spec.kind == "fkan":
-        return sum(2 * g * n_in * n_out + n_out
-                   for (n_in, n_out), g in zip(pairs, spec.fkan_grids))
-    if spec.kind == "oracle":
-        return 0
-    raise ValueError(f"unknown kind {spec.kind!r}")
+    """Trainable parameter count: the array sizes of :func:`_param_table`
+    (spline coefficients at the spec's final grid, no pinned-edge numbers)."""
+    return sum(math.prod(shape) for rows in _param_table(spec)
+               for _, _, shape in rows)
 
 
 # ----------------------------------------------------------------------
@@ -418,17 +442,13 @@ def build_forward_tape(tape: Tape, spec: NetworkSpec, params,
         elif spec.kind == "fkan":
             h = tape.fourier(h, *arrays)
         else:
-            from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
-
             layer = params.layers[l]
             cols, pinned = {}, {}
             for (i, j), fx in sorted(layer.fixed.items()):
                 if i not in cols:
                     cols[i] = tape.column(h, i)
-                a, b, c, d = (tape.leaf(n) for n in _fix_names(l, i, j))
-                inner = tape.add(tape.mul(cols[i], a), b)
-                body = LIBRARY_BY_NAME[fx.name].build(tape, inner)
-                pinned[i, j] = tape.add(tape.mul(body, c), d)
+                pinned[i, j] = fx.build(tape, cols[i], *(
+                    tape.leaf(n) for n in _fix_names(l, i, j)))
             h = tape.kan_layer(h, *arrays, layer.knots, pinned)
     return tape.reshape(h, (x_const.shape[0],))
 
@@ -496,12 +516,9 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
                          np.asarray(ck.params.layers[l].knots.interior))
     if spec.kind == "kan":
         for l, layer in enumerate(ck.params.layers):
-            for (i, j) in sorted(layer.fixed):
-                fx = layer.fixed[(i, j)]
-                lines.append(
-                    f"fixed {l} {i} {j} {fx.name} "
-                    f"{_fmt(fx.a)} {_fmt(fx.b)} {_fmt(fx.c)} {_fmt(fx.d)}"
-                )
+            for (i, j), fx in sorted(layer.fixed.items()):
+                lines.append(f"fixed {l} {i} {j} {fx.name} " + " ".join(
+                    _fmt(p) for p in (fx.a, fx.b, fx.c, fx.d)))
     lines.append("end")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -531,10 +548,17 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"malformed checkpoint: {exc}") from None
 
 
+def _put_once(entries: dict, key, value, what: str) -> None:
+    """Store a checkpoint entry; a second copy is an error, not an override."""
+    if key in entries:
+        raise CheckpointError(f"checkpoint repeats the {what} {key!r}")
+    entries[key] = value
+
+
 def _parse_checkpoint(lines: list) -> Checkpoint:
     header: dict = {"meta": {}}
     arrays: dict = {}
-    fixed_rows = []
+    fixed: dict = {}    # (layer, i, j) -> FixedEdge
     i = 1
     while i < len(lines):
         ln = lines[i]
@@ -544,19 +568,19 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
         if tok[0] == "meta":
             raw = ln.split(None, 2)[2]
             # the writer's repr of a non-finite float is not a literal
-            header["meta"][tok[1]] = (_NON_FINITE[raw] if raw in _NON_FINITE
-                                      else ast.literal_eval(raw))
+            _put_once(header["meta"], tok[1],
+                      _NON_FINITE[raw] if raw in _NON_FINITE
+                      else ast.literal_eval(raw), "meta key")
         elif tok[0] == "array":
             dims = tuple(int(d) for d in tok[2:])
             i += 1
             flat = np.array([float(v) for v in lines[i].split()])
-            arrays[tok[1]] = flat.reshape(dims)
+            _put_once(arrays, tok[1], flat.reshape(dims), "array")
         elif tok[0] == "fixed":
-            fixed_rows.append((int(tok[1]), int(tok[2]), int(tok[3]), tok[4],
-                               float(tok[5]), float(tok[6]), float(tok[7]),
-                               float(tok[8])))
+            _put_once(fixed, (int(tok[1]), int(tok[2]), int(tok[3])),
+                      FixedEdge(tok[4], *map(float, tok[5:9])), "pinned edge")
         elif tok[0] in _HEADER_KEYS:
-            header[tok[0]] = tok[1:]
+            _put_once(header, tok[0], tok[1:], "header key")
         else:
             raise CheckpointError(f"unknown checkpoint line {ln[:40]!r}")
         i += 1
@@ -613,15 +637,13 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
                 spec.grid, spec.spline_order,
                 interior=None if interior is None else tuple(interior))
             layers.append(KanLayer(knots=kv, **h))
-        from .symbolic import LIBRARY_BY_NAME  # local import, no cycle at load
-
-        for l, i_, j_, name, a, b, c, d in fixed_rows:
-            if (name not in LIBRARY_BY_NAME or not 0 <= l < len(layers)
+        for (l, i_, j_), fx in fixed.items():
+            if (fx.name not in LIBRARY_BY_NAME or not 0 <= l < len(layers)
                     or not 0 <= i_ < layers[l].n_in
                     or not 0 <= j_ < layers[l].n_out
-                    or not np.all(np.isfinite((a, b, c, d)))):
-                raise CheckpointError(f"bad pinned edge {l} {i_} {j_} {name}")
-            layers[l].fixed[(i_, j_)] = FixedEdge(name, a, b, c, d)
+                    or not np.all(np.isfinite((fx.a, fx.b, fx.c, fx.d)))):
+                raise CheckpointError(f"bad pinned edge {l} {i_} {j_} {fx.name}")
+            layers[l].fixed[(i_, j_)] = fx
         params = KanParams(layers)
     else:
         params = FkanParams([FourierLayer(grid=g, **h)

@@ -1,7 +1,7 @@
 """Closed-form extraction from trained spline networks.
 
 Each spline edge is a scalar curve; this module matches such curves against
-a small library of primitives wrapped in an affine transform,
+the primitives of :data:`kanc.networks.LIBRARY` wrapped in an affine map,
 ``c * f(a x + b) + d``, pins the worst-matching edges first, retrains the
 rest, and repeats until the whole network is a composition of primitives.
 The result is an expression tree over the raw terminal voltages that can be
@@ -17,7 +17,8 @@ import numpy as np
 
 from . import device, evaluate, networks, training
 from .diffengine import ELEMENTWISE, _power
-from .networks import Checkpoint, FixedEdge, KanParams, NetworkSpec
+from .networks import (LIBRARY, LIBRARY_BY_NAME, BasicFunction, Checkpoint,
+                       FixedEdge, KanParams, NetworkSpec)
 
 FIT_GRID_POINTS = 21
 FIT_LEVELS = 3
@@ -27,53 +28,6 @@ MAX_FIT_SAMPLES = 512
 # 0.3.31, blocks of a multiple of 8 rows give the matrix-vector product the
 # same rounding as one call over all candidates; 63 rows do not.
 SCORE_BLOCK = 64
-
-
-# ----------------------------------------------------------------------
-# primitive library
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BasicFunction:
-    """A library primitive: a power of its argument (``form`` is the
-    exponent) or a function of ``diffengine.ELEMENTWISE`` (``form`` is its
-    name).  Its numpy value, tape nodes and expression all follow from
-    ``form``."""
-
-    name: str
-    form: float | str
-
-    def fn(self, x):
-        """numpy value at ``x``, with numpy's warnings left on."""
-        if isinstance(self.form, str):
-            return ELEMENTWISE[self.form][0](x)
-        return _power(x, self.form)
-
-    def __call__(self, x):
-        with np.errstate(all="ignore"):
-            return self.fn(np.asarray(x, dtype=float))
-
-    def build(self, tape, node: int) -> int:
-        """The primitive of tape node ``node``; ``x`` adds no node."""
-        if isinstance(self.form, str):
-            return tape.call(node, self.form)
-        return node if self.form == 1.0 else tape.pow(node, self.form)
-
-    def expr(self, u: Expr) -> Expr:
-        """The primitive of expression ``u``."""
-        if isinstance(self.form, str):
-            return Call(self.form, u)
-        return u if self.form == 1.0 else Pow(u, self.form)
-
-
-# LIBRARY order breaks ties in ``suggest``.
-LIBRARY = tuple(BasicFunction(name, form) for name, form in (
-    ("x", 1.0), ("x^2", 2.0), ("x^3", 3.0), ("1/x", -1.0), ("1/x^2", -2.0),
-    ("exp", "exp"), ("log", "log"), ("sin", "sin"), ("cos", "cos"),
-    ("tan", "tan"), ("tanh", "tanh"), ("atan", "atan"), ("abs", "abs"),
-    ("sqrt", 0.5)))
-
-LIBRARY_BY_NAME = {f.name: f for f in LIBRARY}
 
 
 @dataclass(frozen=True)
@@ -159,12 +113,8 @@ def suggest(xs, ys) -> list:
 # ----------------------------------------------------------------------
 
 def edge_ids(params: KanParams) -> list:
-    out = []
-    for l, layer in enumerate(params.layers):
-        for i in range(layer.n_in):
-            for j in range(layer.n_out):
-                out.append((l, i, j))
-    return out
+    return [(l, i, j) for l, layer in enumerate(params.layers)
+            for i in range(layer.n_in) for j in range(layer.n_out)]
 
 
 def edge_samples(spec: NetworkSpec, params: KanParams,
@@ -467,7 +417,9 @@ def extract_formula(spec: NetworkSpec, params: KanParams,
                     continue
                 inner = simplify(Add((
                     Mul((Num(fx.a * scales[i]), exprs[i])), Num(fx.b))))
-                body = LIBRARY_BY_NAME[fx.name].expr(inner)
+                form = LIBRARY_BY_NAME[fx.name].form
+                body = (Call(form, inner) if isinstance(form, str)
+                        else inner if form == 1.0 else Pow(inner, form))
                 terms.append(simplify(Add((Mul((Num(fx.c), body)),
                                            Num(fx.d)))))
             terms.append(Num(float(layer.bias[j])))

@@ -39,6 +39,7 @@ from .networks import (
 CURRENT_FLOOR = 1e-15   # amperes; keeps log targets finite at zero drain bias
 REFERENCE_FKAN_EPOCHS = 60000
 REFERENCE_FKAN_CADENCE = 2000
+FKAN_LR_DECAY = 0.85   # the Fourier step size's factor per cadence
 
 DESK_EPOCHS = {"mlp": 5000, "kan": 1500, "fkan": 10000}
 FULL_EPOCHS = {"mlp": 100000, "kan": 1500, "fkan": 60000}
@@ -213,10 +214,10 @@ class Adam:
         return x - lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def fkan_lr_schedule(epoch: int, lr0: float = 0.002, decay: float = 0.85,
+def fkan_lr_schedule(epoch: int, lr0: float = 0.002,
                      cadence: int = REFERENCE_FKAN_CADENCE) -> float:
-    """Stepped decay: multiply by ``decay`` every ``cadence`` epochs."""
-    return lr0 * decay ** (epoch // cadence)
+    """Stepped decay: a factor ``FKAN_LR_DECAY`` every ``cadence`` epochs."""
+    return lr0 * FKAN_LR_DECAY ** (epoch // cadence)
 
 
 def _cubic_interpolate(p1, p2, bounds=None):

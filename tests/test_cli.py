@@ -20,10 +20,11 @@ def read(path) -> str:
         return fh.read()
 
 
-def oracle_checkpoint_file(tmp_path, target="Q_D", name="oracle.txt"):
+def oracle_checkpoint_file(tmp_path, target="Q_D", name="oracle.txt",
+                           step_mv=50):
     spec = networks.preset("oracle", target)
     ck = networks.Checkpoint(spec, None,
-                             {"target": target, "seed": 0, "step_mv": 50})
+                             {"target": target, "seed": 0, "step_mv": step_mv})
     path = tmp_path / name
     networks.save_checkpoint(ck, path)
     return str(path)
@@ -481,6 +482,21 @@ class TestEval:
                    "--out-dir", str(out)) == 0
         assert read(out / "summary.csv").split("\n")[1].startswith("Q_D,50,")
 
+    def test_step_and_data_are_exclusive(self, tmp_path, capsys):
+        """A dataset file and a step to regenerate one are two answers to
+        one question; neither is dropped."""
+        data = tmp_path / "g.csv"
+        assert run("gen-data", "--step", "20", "--out", str(data)) == 0
+        capsys.readouterr()
+        out = tmp_path / "rep"
+        assert run("eval", "--checkpoint", oracle_checkpoint_file(tmp_path),
+                   "--step", "50", "--data", str(data), "--out-dir",
+                   str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--step" in err and "--data" in err
+        assert not out.exists()
+
 
 class TestDerivs:
     def test_default_biases_give_two_files(self, tmp_path):
@@ -672,3 +688,30 @@ class TestReport:
         assert lines[2].startswith("I_D,50,")
         manifest = json.loads(read(out / "manifest.json"))
         assert "sweep_1_I_D_vd0.8.csv" in manifest["outputs"]
+
+    @pytest.mark.parametrize("steps,named", [
+        ((50, 20), "50 mV, 20 mV"),
+        ((50, None), "50 mV, none"),
+    ])
+    def test_checkpoints_of_different_steps_need_the_flag(
+            self, tmp_path, capsys, steps, named):
+        """Checkpoints trained on different grids are not all scored on
+        the first one's split."""
+        paths = [oracle_checkpoint_file(tmp_path, "Q_S", f"{k}.txt", step)
+                 for k, step in enumerate(steps)]
+        if steps[1] is None:
+            lines = read(paths[1]).split("\n")
+            with open(paths[1], "w") as fh:
+                fh.write("\n".join(ln for ln in lines
+                                   if not ln.startswith("meta step_mv ")))
+        out = tmp_path / "rep"
+        assert run("report", "--checkpoints", *paths, "--out-dir",
+                   str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"error: the checkpoints were trained at different steps "
+            f"({named}); pass --step\n")
+        assert not out.exists()
+        assert run("report", "--checkpoints", *paths, "--step", "50",
+                   "--out-dir", str(out)) == 0
+        rows = read(out / "summary.csv").strip().split("\n")[1:]
+        assert [r.split(",")[1] for r in rows] == ["50", "50"]

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from kanc import diffengine, splines
 from kanc.diffengine import (EvaluationError, Tape, fourier_sum,
-                             fourier_table, fourier_tables, grad_check)
+                             fourier_table, grad_check)
 
 
 class TestForward:
@@ -193,34 +193,38 @@ class TestFourierPrimitive:
         """The Chebyshev recurrence stays within 1e-13 of cos(k h) and
         sin(k h) for every frequency up to 8 on |h| <= 50."""
         h = np.random.default_rng(21).uniform(-50.0, 50.0, size=(4000, 3))
-        C, S = fourier_tables(h, 8)
-        assert C.shape == S.shape == (8, 4000, 3)
+        P = fourier_table(h, 8)
+        assert P.shape == (2, 8, 3, 4000)
         k = np.arange(1, 9, dtype=float)[:, None, None]
-        assert np.abs(C - np.cos(k * h)).max() <= 1e-13
-        assert np.abs(S - np.sin(k * h)).max() <= 1e-13
+        assert np.abs(P[0] - np.cos(k * h.T)).max() <= 1e-13
+        assert np.abs(P[1] - np.sin(k * h.T)).max() <= 1e-13
 
     @pytest.mark.parametrize("grid", [1, 2])
     def test_first_two_frequencies_match_direct_trig(self, grid):
         """``grid = 1`` is the ``np.cos``/``np.sin`` pair alone, and
         ``grid = 2`` the recurrence's start ``2c c - 1`` and ``2c s``."""
         h = np.random.default_rng(26).uniform(-50.0, 50.0, size=(500, 2))
-        C, S = fourier_tables(h, grid)
-        assert C.shape == S.shape == (grid, 500, 2)
-        assert_array_equal(C[0], np.cos(h))
-        assert_array_equal(S[0], np.sin(h))
+        P = fourier_table(h, grid)
+        assert P.shape == (2, grid, 2, 500)
+        assert_array_equal(P[0, 0], np.cos(h).T)
+        assert_array_equal(P[1, 0], np.sin(h).T)
         if grid == 2:
-            assert np.abs(C[1] - np.cos(2.0 * h)).max() <= 1e-15
-            assert np.abs(S[1] - np.sin(2.0 * h)).max() <= 1e-15
+            assert np.abs(P[0, 1] - np.cos(2.0 * h).T).max() <= 1e-15
+            assert np.abs(P[1, 1] - np.sin(2.0 * h).T).max() <= 1e-15
 
     def test_feature_major_table(self):
         """``fourier_table`` holds the cos rows, then the sin rows, each
-        (grid, n_in, N), with the values of ``fourier_tables``."""
+        (grid, n_in, N), in one C-contiguous buffer: ``P[0, k-1, i]`` is
+        ``cos(k h_i)`` over the batch."""
         h = np.random.default_rng(20).normal(size=(50, 3))
-        C, S = fourier_tables(h, 4)
         P = fourier_table(h, 4)
         assert P.shape == (2, 4, 3, 50) and P.flags.c_contiguous
-        assert_array_equal(P[0], C.transpose(0, 2, 1))
-        assert_array_equal(P[1], S.transpose(0, 2, 1))
+        for k in range(1, 5):
+            for i in range(3):
+                assert_allclose(P[0, k - 1, i], np.cos(k * h[:, i]),
+                                rtol=0, atol=1e-13)
+                assert_allclose(P[1, k - 1, i], np.sin(k * h[:, i]),
+                                rtol=0, atol=1e-13)
 
     def test_value_matches_direct_sum(self):
         rng = np.random.default_rng(22)

@@ -2,7 +2,11 @@
 
 import math
 import os
+import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,40 @@ def oracle_fkan(params, x):
     return h[0]
 
 
+@st.composite
+def any_network(draw, pins=True):
+    """A small network of any trainable family.  Spline networks get a
+    random spline order, grids refined onto non-uniform knots and, with
+    ``pins``, a random set of pinned edges."""
+    kind = draw(st.sampled_from(["mlp", "kan", "fkan"]))
+    n_layers = draw(st.integers(1, 3))
+    widths = ((2,) + tuple(draw(st.integers(1, 3)) for _ in range(n_layers - 1))
+              + (1,))
+    conversion = draw(st.sampled_from(networks.CONVERSIONS))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "mlp":
+        spec = NetworkSpec("mlp", widths, conversion)
+        return spec, init_params(spec, seed)
+    if kind == "fkan":
+        grids = tuple(draw(st.integers(1, 4)) for _ in range(n_layers))
+        spec = NetworkSpec("fkan", widths, conversion, fkan_grids=grids)
+        return spec, init_params(spec, seed)
+    coarse = draw(st.integers(1, 6))
+    grid = draw(st.integers(coarse, 12))
+    spec = NetworkSpec("kan", widths, conversion,
+                       spline_order=draw(st.integers(1, 3)), grid=grid)
+    params = refine_kan(init_params(spec, seed, grid_size=coarse), grid)
+    edges = [(l, i, j) for l, layer in enumerate(params.layers)
+             for i in range(layer.n_in) for j in range(layer.n_out)]
+    finite = st.floats(-2.0, 2.0, allow_nan=False)
+    pinned = draw(st.lists(st.sampled_from(edges), unique=True)) if pins else []
+    for l, i, j in pinned:
+        params.layers[l].fixed[(i, j)] = FixedEdge(
+            draw(st.sampled_from(sorted(networks.LIBRARY_BY_NAME))),
+            draw(finite), draw(finite), draw(finite), draw(finite))
+    return spec, params
+
+
 class TestParamCount:
     def test_published_dense_and_fourier_counts(self):
         assert param_count(preset("mlp1", "I_D")) == 337
@@ -139,6 +177,13 @@ class TestParamCount:
 
     def test_oracle_has_no_parameters(self):
         assert param_count(preset("oracle", "I_D")) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(any_network(pins=False))
+    def test_count_is_the_leaf_size_of_any_spec(self, net):
+        spec, _ = net
+        vals = leaf_values(spec, init_params(spec, seed=0))
+        assert param_count(spec) == sum(np.size(v) for v in vals.values())
 
 
 class TestSpecValidation:
@@ -551,6 +596,53 @@ class TestCheckpointIO:
                 f"meta target {target!r} is not a charge-scale field")):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("line,what", [
+        ("fixed 0 0 0 tanh 2.0 0.0 1.0 0.0", "pinned edge (0, 0, 0)"),
+        ("meta seed 99", "meta key 'seed'"),
+        ("array L0.bias 3\n7.0 7.0 7.0", "array 'L0.bias'"),
+        ("grid 5", "header key 'grid'"),
+    ])
+    def test_repeated_entry_rejected(self, line, what, tmp_path):
+        """A second copy of an entry is an error, not an override."""
+        spec = preset("kan1", "Q_S")
+        params = init_params(spec, seed=0)
+        params.layers[0].fixed[(0, 0)] = FixedEdge("sin", 1.0, 0.0, 1.0, 0.0)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, params, {"seed": 3}), path)
+        text = path.read_text()
+        assert text.endswith("\nend\n")
+        path.write_text(text[:-len("end\n")] + line + "\nend\n")
+        with pytest.raises(CheckpointError,
+                           match=f"checkpoint repeats the {re.escape(what)}$"):
+            load_checkpoint(path)
+
+    def test_pinned_edges_load_and_run_without_symbolic(self, tmp_path):
+        """The primitive library lives beside the pinned edge: loading a
+        checkpoint with pinned edges, its numpy forward and its tape do not
+        import the symbolic-regression module."""
+        spec = preset("kan2", "Q_D")
+        params = init_params(spec, seed=0)
+        for (l, i, j), name in (((0, 0, 0), "sqrt"), ((1, 2, 1), "tan")):
+            params.layers[l].fixed[(i, j)] = FixedEdge(name, 0.5, 0.25, 1.0, 0.0)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, params, {"target": "Q_D"}), path)
+        code = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from kanc import networks\n"
+            "from kanc.diffengine import Tape\n"
+            f"ck = networks.load_checkpoint({str(path)!r})\n"
+            "x = np.linspace(0.0, 1.0, 8).reshape(4, 2)\n"
+            "networks.net_forward(ck.spec, ck.params, x)\n"
+            "networks.build_forward_tape(Tape(), ck.spec, ck.params, x)\n"
+            "assert 'kanc.symbolic' not in sys.modules\n"
+        )
+        src = str(Path(networks.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_oracle_checkpoint_round_trip(self, tmp_path):
         spec = preset("oracle", "I_D")
         ck = Checkpoint(spec, None, {"target": "I_D"})
@@ -559,41 +651,6 @@ class TestCheckpointIO:
         back = load_checkpoint(path)
         assert back.spec.kind == "oracle"
         assert back.meta["target"] == "I_D"
-
-
-@st.composite
-def any_network(draw):
-    """A small network of any trainable family.  Spline networks get a
-    random spline order, grids refined onto non-uniform knots and a random
-    set of pinned edges."""
-    from kanc.symbolic import LIBRARY_BY_NAME
-
-    kind = draw(st.sampled_from(["mlp", "kan", "fkan"]))
-    n_layers = draw(st.integers(1, 3))
-    widths = ((2,) + tuple(draw(st.integers(1, 3)) for _ in range(n_layers - 1))
-              + (1,))
-    conversion = draw(st.sampled_from(networks.CONVERSIONS))
-    seed = draw(st.integers(0, 2**16))
-    if kind == "mlp":
-        spec = NetworkSpec("mlp", widths, conversion)
-        return spec, init_params(spec, seed)
-    if kind == "fkan":
-        grids = tuple(draw(st.integers(1, 4)) for _ in range(n_layers))
-        spec = NetworkSpec("fkan", widths, conversion, fkan_grids=grids)
-        return spec, init_params(spec, seed)
-    coarse = draw(st.integers(1, 6))
-    grid = draw(st.integers(coarse, 12))
-    spec = NetworkSpec("kan", widths, conversion,
-                       spline_order=draw(st.integers(1, 3)), grid=grid)
-    params = refine_kan(init_params(spec, seed, grid_size=coarse), grid)
-    edges = [(l, i, j) for l, layer in enumerate(params.layers)
-             for i in range(layer.n_in) for j in range(layer.n_out)]
-    finite = st.floats(-2.0, 2.0, allow_nan=False)
-    for l, i, j in draw(st.lists(st.sampled_from(edges), unique=True)):
-        params.layers[l].fixed[(i, j)] = FixedEdge(
-            draw(st.sampled_from(sorted(LIBRARY_BY_NAME))),
-            draw(finite), draw(finite), draw(finite), draw(finite))
-    return spec, params
 
 
 def _saved_lines(spec, params, tmp) -> list:
@@ -629,8 +686,9 @@ class TestCheckpointProperties:
     @given(any_network(), st.sampled_from(["drop", "duplicate", "truncate",
                                            "dimension"]), st.data())
     def test_fuzzed_file_raises_only_checkpoint_error(self, net, edit, data):
-        """A line dropped, duplicated or truncated loads or raises
-        CheckpointError; a changed dimension always raises it."""
+        """A line dropped or truncated loads or raises CheckpointError; a
+        changed dimension or a duplicated line other than ``end`` always
+        raises it."""
         spec, params = net
         with tempfile.TemporaryDirectory() as tmp:
             lines = _saved_lines(spec, params, tmp)
@@ -639,6 +697,8 @@ class TestCheckpointProperties:
             if edit == "drop":
                 del lines[at]
             elif edit == "duplicate":
+                # every entry is read once; only the end line may repeat
+                changed = lines[at] != "end"
                 lines.insert(at, lines[at])
             elif edit == "truncate":
                 lines[at] = lines[at][:data.draw(st.integers(0, len(lines[at])))]
