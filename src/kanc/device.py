@@ -29,10 +29,6 @@ CHARGE_UNIT = 1e-18       # F, scale between stored charge numbers and coulombs
 FIELD_NAMES = ("I_D", "Q_D", "Q_S", "Q_G")
 
 
-class VoltageRangeError(ValueError):
-    """Raised for bias points outside the covered quadrant."""
-
-
 def gate_drive(v_g):
     """Smooth gate-overdrive curve: soft knee at the threshold voltage."""
     scale = IDEALITY * THERMAL_VOLTAGE
@@ -50,29 +46,6 @@ def surrogate_fields(v_d, v_g) -> dict:
     q_d = -CHARGE_PER_VOLT * drive * (0.35 + 0.25 * np.tanh((v_d - 0.3) / 0.2))
     q_g = -(q_s + q_d) * 1.5
     return {"I_D": i_d, "Q_D": q_d, "Q_S": q_s, "Q_G": q_g}
-
-
-@dataclass(frozen=True)
-class DevicePoint:
-    """One bias point: current in amperes, charges in CHARGE_UNIT units."""
-
-    v_d: float
-    v_g: float
-    i_d: float
-    q_d: float
-    q_s: float
-    q_g: float
-
-
-def surrogate_eval(v_d: float, v_g: float) -> DevicePoint:
-    """Evaluate the surrogate at one bias point, rejecting out-of-range bias."""
-    for name, v in (("V_D", v_d), ("V_G", v_g)):
-        if not 0.0 <= v <= V_MAX:
-            raise VoltageRangeError(f"{name}={v} outside [0, {V_MAX}]")
-    f = surrogate_fields(v_d, v_g)
-    return DevicePoint(float(v_d), float(v_g),
-                       float(f["I_D"]), float(f["Q_D"]),
-                       float(f["Q_S"]), float(f["Q_G"]))
 
 
 def bulk_charge(q_d, q_s, q_g):
@@ -189,26 +162,6 @@ def derivative_stencil(n: int, h: float) -> np.ndarray:
     d[0, :3] = np.array([-1.5, 2.0, -0.5]) / h
     d[-1, -3:] = np.array([0.5, -2.0, 1.5]) / h
     return d
-
-
-def grid_derivative(dataset: VoltageGridDataset, fld: str, axis: str,
-                    order: int = 1) -> np.ndarray:
-    """Finite-difference derivative of a field over the train sub-grid.
-
-    ``axis`` selects the differentiation direction ("V_D" rows or "V_G"
-    columns); ``order`` 2 applies the same stencil twice.
-    """
-    if axis not in ("V_D", "V_G"):
-        raise ValueError(f"axis must be 'V_D' or 'V_G', got {axis!r}")
-    if order not in (1, 2):
-        raise ValueError(f"order must be 1 or 2, got {order}")
-    values = dataset.train_field(fld) if isinstance(fld, str) else np.asarray(fld)
-    h = dataset.step_mv / 1000.0
-    n = values.shape[0 if axis == "V_D" else 1]
-    d = derivative_stencil(n, h)
-    for _ in range(order):
-        values = d @ values if axis == "V_D" else values @ d.T
-    return values
 
 
 # ----------------------------------------------------------------------

@@ -527,6 +527,7 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
 _NON_FINITE = {"inf": math.inf, "-inf": -math.inf, "nan": math.nan}
 _HEADER_KEYS = ("kind", "conversion", "widths", "activation", "spline_order",
                 "grid", "grids")
+_LIST_KEYS = ("widths", "grids")     # every other header line holds one value
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -555,6 +556,12 @@ def _put_once(entries: dict, key, value, what: str) -> None:
     entries[key] = value
 
 
+def _check_token_count(tok: list, count: int) -> None:
+    if len(tok) != count:
+        raise CheckpointError(f"a {tok[0]!r} line holds {count} tokens, not "
+                              f"{len(tok)}")
+
+
 def _parse_checkpoint(lines: list) -> Checkpoint:
     header: dict = {"meta": {}}
     arrays: dict = {}
@@ -577,9 +584,12 @@ def _parse_checkpoint(lines: list) -> Checkpoint:
             flat = np.array([float(v) for v in lines[i].split()])
             _put_once(arrays, tok[1], flat.reshape(dims), "array")
         elif tok[0] == "fixed":
+            _check_token_count(tok, 9)
             _put_once(fixed, (int(tok[1]), int(tok[2]), int(tok[3])),
                       FixedEdge(tok[4], *map(float, tok[5:9])), "pinned edge")
         elif tok[0] in _HEADER_KEYS:
+            if tok[0] not in _LIST_KEYS:
+                _check_token_count(tok, 2)
             _put_once(header, tok[0], tok[1:], "header key")
         else:
             raise CheckpointError(f"unknown checkpoint line {ln[:40]!r}")

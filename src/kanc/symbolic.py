@@ -41,61 +41,120 @@ class EdgeFit(FixedEdge):
 # fitting
 # ----------------------------------------------------------------------
 
-def _score_grid(xs, ys, f: BasicFunction, a_vals, b_vals):
-    """Closed-form (c, d) and R^2 for every (a, b) candidate pair.
+def _arguments(xs, a_vals, b_vals, out=None):
+    """Candidate arguments ``a x + b`` as (a_vals.size * b_vals.size, n)
+    rows in meshgrid order, ``a`` slowest.
 
-    Candidates are scored ``SCORE_BLOCK`` rows at a time, so the primitive's
-    (rows, samples) matrix stays cache-sized; each block is masked and
-    centered in place and reduced to its per-candidate sums."""
-    aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
-    aa, bb = aa.ravel(), bb.ravel()
-    valid = np.empty(aa.size, dtype=bool)
-    f_bar, s_ff, s_fy = np.empty((3, aa.size))
+    One product row per ``a`` and one scalar add per ``b``: the same two
+    roundings as ``a * x + b`` row by row, with 21 rows of products where
+    that takes 441.  ``out`` is filled in place when given."""
+    ax = np.multiply.outer(a_vals, xs)
+    if out is None:
+        out = np.empty((ax.shape[0] * len(b_vals), xs.size))
+    grid = out.reshape(ax.shape[0], len(b_vals), xs.size)
+    for k, b in enumerate(b_vals):
+        np.add(ax, b, out=grid[:, k])
+    return out
+
+
+def _score_grid(xs, ys, f: BasicFunction, a_vals, b_vals, args):
+    """Closed-form (c, d) and R^2 for every (a, b) candidate pair, for each
+    row of ``ys`` (m, n) against the shared ``xs``; returns the best
+    (a, b, c, d, r2) per row.
+
+    ``args`` holds the candidates' arguments (:func:`_arguments`).
+    Candidates are scored ``SCORE_BLOCK`` rows at a time, so the
+    primitive's (rows, samples) matrix stays cache-sized; each block is
+    evaluated, masked and centered once for all rows of ``ys`` and reduced
+    to its per-candidate sums, with one matrix-vector product per row."""
+    n_cand = len(args)
+    valid = np.ones(n_cand, dtype=bool)
+    f_bar, s_ff = np.empty((2, n_cand))
+    s_fy = np.empty((len(ys), n_cand))
     with np.errstate(all="ignore"):
-        y_bar = ys.mean()
-        yc = ys - y_bar
-        s_yy = float(np.sum(yc ** 2))
-        for lo in range(0, aa.size, SCORE_BLOCK):
+        y_bar = [y.mean() for y in ys]
+        yc = [y - m for y, m in zip(ys, y_bar)]
+        s_yy = np.array([float(np.sum(v ** 2)) for v in yc])
+        for lo in range(0, n_cand, SCORE_BLOCK):
             blk = slice(lo, lo + SCORE_BLOCK)
-            big = f.fn(aa[blk, None] * xs + bb[blk, None])
-            ok = np.all(np.isfinite(big), axis=1)
-            big[~ok] = 0.0                       # silence dead candidates
-            valid[blk] = ok
+            big = f.fn(args[blk])
             f_bar[blk] = big.mean(axis=1)
+            # a finite mean implies a finite row; a row whose mean is not
+            # finite is dead unless its finite values overflowed the sum
+            finite = np.isfinite(f_bar[blk])
+            if not finite.all():
+                bad = np.flatnonzero(~finite)
+                dead = bad[~np.all(np.isfinite(big[bad]), axis=1)]
+                big[dead] = 0.0                  # silence dead candidates
+                f_bar[lo + dead] = 0.0
+                valid[lo + dead] = False
             big -= f_bar[blk, None]
             s_ff[blk] = np.einsum("ij,ij->i", big, big)
-            s_fy[blk] = big @ yc
-    c = np.where((s_ff > 0) & valid, s_fy / np.where(s_ff > 0, s_ff, 1.0), 0.0)
-    ss_res = s_yy - c * s_fy
-    r2 = np.where(valid, 1.0 - ss_res / s_yy, -np.inf)
+            for e, v in enumerate(yc):
+                s_fy[e, blk] = big @ v
+        # an overflowed row's inf sums give inf / inf here
+        c = np.where((s_ff > 0) & valid,
+                     s_fy / np.where(s_ff > 0, s_ff, 1.0), 0.0)
+        ss_res = s_yy[:, None] - c * s_fy
+        r2 = np.where(valid, 1.0 - ss_res / s_yy[:, None], -np.inf)
     r2 = np.where(np.isfinite(r2), r2, -np.inf)
-    best = int(np.argmax(r2))
-    d = y_bar - c[best] * f_bar[best]
-    return float(aa[best]), float(bb[best]), float(c[best]), float(d), float(r2[best])
+    out = []
+    for e, best in enumerate(np.argmax(r2, axis=1)):
+        d = y_bar[e] - c[e, best] * f_bar[best]
+        i, j = divmod(best, len(b_vals))       # meshgrid order, a slowest
+        out.append((float(a_vals[i]), float(b_vals[j]), float(c[e, best]),
+                    float(d), float(r2[e, best])))
+    return out
 
 
-def fit_basic(xs, ys, f: BasicFunction) -> EdgeFit:
+# the level-1 (a, b) axis, shared by every primitive and edge
+LEVEL1_AXIS = np.linspace(-FIT_RANGE, FIT_RANGE, FIT_GRID_POINTS)
+
+
+def fit_basic(xs, ys, f: BasicFunction, level1_args=None):
     """Fit ``c * f(a x + b) + d`` by coarse-to-fine grid search over (a, b)
-    with closed-form (c, d) at each candidate."""
+    with closed-form (c, d) at each candidate.
+
+    ``ys`` is one sample set (n,), giving one :class:`EdgeFit`, or one row
+    per edge that reads the same input ``xs`` (m, n), giving a list of m.
+    The level-1 grid is scored once for all rows; ``level1_args``, its
+    candidate arguments, lets a caller share them across primitives."""
     xs = np.asarray(xs, dtype=float).ravel()
-    ys = np.asarray(ys, dtype=float).ravel()
-    if xs.size != ys.size:
+    ys = np.asarray(ys, dtype=float)
+    rows = np.ascontiguousarray(np.atleast_2d(ys))
+    if rows.ndim != 2 or rows.shape[1] != xs.size:
         raise ValueError("sample arrays differ in length")
     if xs.size < 8:
         raise ValueError(f"need at least 8 samples, got {xs.size}")
     with np.errstate(all="ignore"):
-        spread, y_mean = np.ptp(ys), float(ys.mean())
-    if spread == 0.0:
-        return EdgeFit(f.name, 1.0, 0.0, 0.0, float(ys[0]), 1.0)
-    a_vals = np.linspace(-FIT_RANGE, FIT_RANGE, FIT_GRID_POINTS)
-    b_vals = np.linspace(-FIT_RANGE, FIT_RANGE, FIT_GRID_POINTS)
-    best = (1.0, 0.0, 0.0, y_mean, -np.inf)
+        flat = np.ptp(rows, axis=1) == 0.0
+    fits = [EdgeFit(f.name, 1.0, 0.0, 0.0, float(y[0]), 1.0) if is_flat
+            else None for y, is_flat in zip(rows, flat)]
+    live = np.flatnonzero(~flat)
+    if live.size:
+        if level1_args is None:
+            level1_args = _arguments(xs, LEVEL1_AXIS, LEVEL1_AXIS)
+        level1 = _score_grid(xs, rows[live], f, LEVEL1_AXIS, LEVEL1_AXIS,
+                             level1_args)
+        args = np.empty_like(level1_args)    # levels 2 on, refilled in place
+        for e, found in zip(live, level1):
+            fits[e] = _refine(xs, rows[e], f, found, args)
+    return fits if ys.ndim == 2 else fits[0]
+
+
+def _refine(xs, ys, f: BasicFunction, found, args) -> EdgeFit:
+    """Levels 2 on of :func:`fit_basic` for one sample set, from its
+    level-1 best ``found``; each level's arguments are built in ``args``."""
+    with np.errstate(all="ignore"):
+        best = (1.0, 0.0, 0.0, float(ys.mean()), -np.inf)
     half = FIT_RANGE
-    for _ in range(FIT_LEVELS):
-        a, b, c, d, r2 = _score_grid(xs, ys, f, a_vals, b_vals)
-        if r2 > best[4]:
-            best = (a, b, c, d, r2)
-        half = half * (1.0 / (FIT_GRID_POINTS - 1)) * 2  # previous grid spacing
+    for level in range(FIT_LEVELS):
+        if level:
+            found, = _score_grid(xs, ys[None], f, a_vals, b_vals,
+                                 _arguments(xs, a_vals, b_vals, args))
+        if found[4] > best[4]:
+            best = found
+        half = half * (1.0 / (FIT_GRID_POINTS - 1)) * 2  # previous spacing
         a_vals = np.linspace(best[0] - half, best[0] + half, FIT_GRID_POINTS)
         b_vals = np.linspace(best[1] - half, best[1] + half, FIT_GRID_POINTS)
     return EdgeFit(f.name, *best)
@@ -103,9 +162,16 @@ def fit_basic(xs, ys, f: BasicFunction) -> EdgeFit:
 
 def suggest(xs, ys) -> list:
     """All library fits for a sample set, best first; ties keep library
-    order."""
-    fits = [fit_basic(xs, ys, f) for f in LIBRARY]
-    return sorted(fits, key=lambda fit: -fit.r2)
+    order.
+
+    ``ys`` (m, n), one row per edge that reads the same input ``xs``, gives
+    one such list per row; the level-1 candidate arguments are then built
+    once for every primitive and row."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    args = _arguments(xs, LEVEL1_AXIS, LEVEL1_AXIS)
+    per_f = [fit_basic(xs, np.atleast_2d(ys), f, args) for f in LIBRARY]
+    ranked = [sorted(fits, key=lambda fit: -fit.r2) for fits in zip(*per_f)]
+    return ranked if np.ndim(ys) == 2 else ranked[0]
 
 
 # ----------------------------------------------------------------------
@@ -509,10 +575,16 @@ def iterative_sr(ck: Checkpoint, dataset, k: int,
         if not unpinned:
             break
         samples = edge_samples(spec, params, x_norm)
-        candidates = {}
+        # the edges that read one input column share their samples' xs
+        columns: dict = {}
         for e in unpinned:
-            xs, ys = samples[e]
-            candidates[e] = suggest(xs, ys)[0]
+            columns.setdefault(e[:2], []).append(e)
+        candidates = {}
+        for edges in columns.values():
+            per_edge = suggest(samples[edges[0]][0],
+                               np.stack([samples[e][1] for e in edges]))
+            for e, by_r2 in zip(edges, per_edge):
+                candidates[e] = by_r2[0]
         ranked = sorted(unpinned, key=lambda e: (candidates[e].r2, e))
         chosen = ranked[:k]
         for e in chosen:

@@ -13,16 +13,13 @@ from numpy.testing import assert_allclose
 
 from kanc import device
 from kanc.device import (
-    VoltageRangeError,
     bulk_charge,
     convert_charge,
     convert_current,
     derivative_stencil,
     generate_dataset,
-    grid_derivative,
     load_dataset,
     save_dataset,
-    surrogate_eval,
     surrogate_fields,
 )
 
@@ -35,14 +32,15 @@ def oracle_drive(v_g):
 
 class TestSurrogate:
     def test_zero_bias_current_is_exactly_zero(self):
-        assert surrogate_eval(0.0, 0.0).i_d == 0.0
+        assert surrogate_fields(0.0, 0.0)["I_D"] == 0.0
 
     def test_current_matches_closed_form(self):
         """Module output equals the independent scalar reimplementation."""
         for v_d, v_g in [(0.1, 0.3), (0.4, 0.4), (0.82, 0.82), (0.7, 0.2)]:
             f = oracle_drive(v_g)
             expected = 5e-3 * f * f * math.tanh(v_d / (0.08 + 0.6 * f))
-            assert_allclose(surrogate_eval(v_d, v_g).i_d, expected, rtol=1e-14)
+            assert_allclose(surrogate_fields(v_d, v_g)["I_D"], expected,
+                            rtol=1e-14)
 
     def test_drive_below_threshold(self):
         """At the threshold voltage the knee value is scale * ln 2."""
@@ -52,27 +50,22 @@ class TestSurrogate:
     def test_source_charge_at_full_gate(self):
         """Q_S at the top corner equals -60 times the gate drive there."""
         expected = -60.0 * oracle_drive(0.82)
-        assert_allclose(surrogate_eval(0.3, 0.82).q_s, expected, rtol=1e-14)
+        assert_allclose(surrogate_fields(0.3, 0.82)["Q_S"], expected,
+                        rtol=1e-14)
         # drive saturates near v_g - v_th, so the value sits just past -34.2
         assert abs(expected + 34.2) < 1e-6
 
     def test_charges_are_negative_in_strong_inversion(self):
-        p = surrogate_eval(0.5, 0.6)
-        assert p.q_s < 0 and p.q_d < 0
-        assert p.q_g > 0
+        p = surrogate_fields(0.5, 0.6)
+        assert p["Q_S"] < 0 and p["Q_D"] < 0
+        assert p["Q_G"] > 0
 
     def test_gate_charge_closes_the_budget(self):
         """Q_G is built as -1.5 (Q_S + Q_D), so the bulk term is half the
         source+drain sum."""
-        p = surrogate_eval(0.37, 0.55)
-        qb = bulk_charge(p.q_d, p.q_s, p.q_g)
-        assert_allclose(qb, 0.5 * (p.q_d + p.q_s), rtol=1e-14)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(VoltageRangeError):
-            surrogate_eval(0.83, 0.1)
-        with pytest.raises(VoltageRangeError):
-            surrogate_eval(0.1, -0.01)
+        p = surrogate_fields(0.37, 0.55)
+        qb = bulk_charge(p["Q_D"], p["Q_S"], p["Q_G"])
+        assert_allclose(qb, 0.5 * (p["Q_D"] + p["Q_S"]), rtol=1e-14)
 
     def test_current_monotone_in_gate_bias(self):
         vg = np.linspace(0.0, 0.82, 165)
@@ -141,24 +134,27 @@ class TestDatasetSplits:
 
 
 class TestGridDerivative:
+    """The first-derivative stencil applied along the train sub-grid:
+    ``d @ values`` along V_D (rows), ``values @ d.T`` along V_G."""
+
     def test_constant_field_derivative_is_zero(self):
-        ds = generate_dataset(50)
-        const = np.full((17, 17), 3.3)
-        out = grid_derivative(ds, const, "V_G")
+        d = derivative_stencil(17, 0.05)
+        out = np.full((17, 17), 3.3) @ d.T
         assert_allclose(out, 0.0, rtol=0, atol=1e-12)
 
     def test_linear_ramp_slope_one(self):
         ds = generate_dataset(50)
+        d = derivative_stencil(17, 0.05)
         ramp = np.tile(ds.train_vg_axis, (17, 1))
-        out = grid_derivative(ds, ramp, "V_G")
-        assert_allclose(out, 1.0, rtol=0, atol=1e-9)
-        assert_allclose(grid_derivative(ds, ramp, "V_D"), 0.0, rtol=0, atol=1e-9)
+        assert_allclose(ramp @ d.T, 1.0, rtol=0, atol=1e-9)
+        assert_allclose(d @ ramp, 0.0, rtol=0, atol=1e-9)
 
     def test_matches_analytic_transconductance(self):
         """FD transconductance at (0.4, 0.4) on the 5 mV grid is within 1e-3
         of the hand-derived closed-form derivative."""
         ds = generate_dataset(5)
-        gm = grid_derivative(ds, "I_D", "V_G")
+        values = ds.train_field("I_D")
+        gm = values @ derivative_stencil(values.shape[1], 0.005).T
         i = list(np.rint(ds.train_vd_axis * 1000).astype(int)).index(400)
         j = list(np.rint(ds.train_vg_axis * 1000).astype(int)).index(400)
         s = 1.2 * 0.0258
@@ -172,23 +168,18 @@ class TestGridDerivative:
                            + f * f * sech2 * (-0.4 * 0.6 * fp / den**2))
         assert abs(gm[i, j] - analytic) / abs(analytic) < 1e-3
 
-    def test_second_order_is_stencil_applied_twice(self):
+    def test_stencil_twice_is_exact_on_a_cubic(self):
+        """Two central passes are the second difference over 2h, which is
+        exact on a cubic wherever both passes use central rows."""
         ds = generate_dataset(20)
-        one = grid_derivative(ds, "I_D", "V_D", order=1)
-        two = grid_derivative(ds, one, "V_D", order=1)
-        assert_allclose(grid_derivative(ds, "I_D", "V_D", order=2), two,
-                        rtol=0, atol=1e-12)
+        d = derivative_stencil(ds.train_vd_axis.size, 0.02)
+        v = ds.train_vd_axis
+        twice = d @ (d @ v**3)
+        assert_allclose(twice[2:-2], 6.0 * v[2:-2], rtol=0, atol=1e-9)
 
     def test_requires_three_points(self):
         with pytest.raises(ValueError):
             derivative_stencil(2, 0.1)
-
-    def test_bad_axis_and_order(self):
-        ds = generate_dataset(50)
-        with pytest.raises(ValueError):
-            grid_derivative(ds, "I_D", "vd")
-        with pytest.raises(ValueError):
-            grid_derivative(ds, "I_D", "V_D", order=3)
 
 
 class TestPersistence:

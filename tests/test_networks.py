@@ -616,6 +616,29 @@ class TestCheckpointIO:
                            match=f"checkpoint repeats the {re.escape(what)}$"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("line,edited", [
+        ("kind kan", "kind kan mlp"),
+        ("conversion charge-scale", "conversion charge-scale exp-current"),
+        ("spline_order 3", "spline_order 3 7"),
+        ("grid 16", "grid 16 4"),
+        ("fixed 0 0 0 sin 1.0 0.0 1.0 0.0", "fixed 0 0 0 sin 1.0 0.0 1.0 0.0 9.0"),
+        ("fixed 0 0 0 sin 1.0 0.0 1.0 0.0", "fixed 0 0 0 sin 1.0 0.0 1.0"),
+    ])
+    def test_token_count_checked(self, line, edited, tmp_path):
+        """A single-valued header line or a ``fixed`` line with a token too
+        many or too few is an error, not half read."""
+        spec = preset("kan1", "Q_S")
+        params = init_params(spec, seed=0)
+        params.layers[0].fixed[(0, 0)] = FixedEdge("sin", 1.0, 0.0, 1.0, 0.0)
+        path = tmp_path / "ck.txt"
+        save_checkpoint(Checkpoint(spec, params, {"seed": 3}), path)
+        lines = path.read_text().splitlines()
+        assert line in lines
+        lines[lines.index(line)] = edited
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CheckpointError, match="tokens"):
+            load_checkpoint(path)
+
     def test_pinned_edges_load_and_run_without_symbolic(self, tmp_path):
         """The primitive library lives beside the pinned edge: loading a
         checkpoint with pinned edges, its numpy forward and its tape do not
@@ -684,10 +707,11 @@ class TestCheckpointProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(any_network(), st.sampled_from(["drop", "duplicate", "truncate",
-                                           "dimension"]), st.data())
+                                           "dimension", "append"]), st.data())
     def test_fuzzed_file_raises_only_checkpoint_error(self, net, edit, data):
         """A line dropped or truncated loads or raises CheckpointError; a
-        changed dimension or a duplicated line other than ``end`` always
+        changed dimension, a duplicated line other than ``end`` or a token
+        appended to a single-valued header line or a ``fixed`` line always
         raises it."""
         spec, params = net
         with tempfile.TemporaryDirectory() as tmp:
@@ -702,6 +726,14 @@ class TestCheckpointProperties:
                 lines.insert(at, lines[at])
             elif edit == "truncate":
                 lines[at] = lines[at][:data.draw(st.integers(0, len(lines[at])))]
+            elif edit == "append":
+                single = [k for k, ln in enumerate(lines) if ln.split()[0] in (
+                    "kind", "conversion", "activation", "spline_order",
+                    "grid", "fixed")]
+                at = data.draw(st.sampled_from(single))
+                lines[at] += " " + data.draw(st.sampled_from(
+                    ["mlp", "4", "9.0", "tanh"]))
+                changed = True
             else:
                 sized = [k for k, ln in enumerate(lines) if ln.split()[0] in (
                     "array", "widths", "grid", "grids", "spline_order")]

@@ -5,7 +5,7 @@ import copy
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -139,6 +139,74 @@ class TestFitBasic:
             fit_basic(np.zeros(10), np.zeros(9), LIBRARY_BY_NAME["x"])
 
 
+def oracle_score_grid(xs, ys, f, a_vals, b_vals):
+    """The per-edge blocked scorer: one sample set, each block's arguments
+    built as ``a * x + b`` and its dead rows found by ``isfinite``."""
+    aa, bb = np.meshgrid(a_vals, b_vals, indexing="ij")
+    aa, bb = aa.ravel(), bb.ravel()
+    valid = np.empty(aa.size, dtype=bool)
+    f_bar, s_ff, s_fy = np.empty((3, aa.size))
+    with np.errstate(all="ignore"):
+        y_bar = ys.mean()
+        yc = ys - y_bar
+        s_yy = float(np.sum(yc ** 2))
+        for lo in range(0, aa.size, symbolic.SCORE_BLOCK):
+            blk = slice(lo, lo + symbolic.SCORE_BLOCK)
+            big = f.fn(aa[blk, None] * xs + bb[blk, None])
+            ok = np.all(np.isfinite(big), axis=1)
+            big[~ok] = 0.0
+            valid[blk] = ok
+            f_bar[blk] = big.mean(axis=1)
+            big -= f_bar[blk, None]
+            s_ff[blk] = np.einsum("ij,ij->i", big, big)
+            s_fy[blk] = big @ yc
+        c = np.where((s_ff > 0) & valid, s_fy / np.where(s_ff > 0, s_ff, 1.0),
+                     0.0)
+        ss_res = s_yy - c * s_fy
+        r2 = np.where(valid, 1.0 - ss_res / s_yy, -np.inf)
+    r2 = np.where(np.isfinite(r2), r2, -np.inf)
+    best = int(np.argmax(r2))
+    d = y_bar - c[best] * f_bar[best]
+    return float(aa[best]), float(bb[best]), float(c[best]), float(d), float(r2[best])
+
+
+def oracle_fit_basic(xs, ys, f):
+    """:func:`fit_basic` on one sample set, every level scored by
+    :func:`oracle_score_grid`."""
+    with np.errstate(all="ignore"):
+        spread, y_mean = np.ptp(ys), float(ys.mean())
+    if spread == 0.0:
+        return EdgeFit(f.name, 1.0, 0.0, 0.0, float(ys[0]), 1.0)
+    n = symbolic.FIT_GRID_POINTS
+    half = symbolic.FIT_RANGE
+    a_vals = b_vals = np.linspace(-half, half, n)
+    best = (1.0, 0.0, 0.0, y_mean, -np.inf)
+    for _ in range(symbolic.FIT_LEVELS):
+        found = oracle_score_grid(xs, ys, f, a_vals, b_vals)
+        if found[4] > best[4]:
+            best = found
+        half = half * (1.0 / (n - 1)) * 2
+        a_vals = np.linspace(best[0] - half, best[0] + half, n)
+        b_vals = np.linspace(best[1] - half, best[1] + half, n)
+    return EdgeFit(f.name, *best)
+
+
+def oracle_suggest(xs, ys):
+    """:func:`suggest`, one edge at a time: one sorted list for (n,)
+    samples, one per row for (m, n)."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if ys.ndim == 2:
+        return [oracle_suggest(xs, y) for y in ys]
+    fits = [oracle_fit_basic(xs, ys, f) for f in LIBRARY]
+    return sorted(fits, key=lambda fit: -fit.r2)
+
+
+def fit_bits(fit):
+    """An EdgeFit as its name and the bit patterns of its numbers, so that
+    nan, -inf and signed zeros compare exactly."""
+    return fit.name, np.array([fit.a, fit.b, fit.c, fit.d, fit.r2]).tobytes()
+
+
 def reference_scores(xs, ys, f, a_vals, b_vals):
     """R^2 of every (a, b) candidate from one unblocked pass over the whole
     (candidates, samples) matrix, in meshgrid order."""
@@ -170,7 +238,9 @@ class TestScoreGrid:
         ys = rng.normal(size=n)
         a_vals = np.linspace(a0 - half, a0 + half, symbolic.FIT_GRID_POINTS)
         b_vals = np.linspace(b0 - half, b0 + half, symbolic.FIT_GRID_POINTS)
-        a, b, c, d, r2 = symbolic._score_grid(xs, ys, f, a_vals, b_vals)
+        (a, b, c, d, r2), = symbolic._score_grid(
+            xs, ys[None], f, a_vals, b_vals,
+            symbolic._arguments(xs, a_vals, b_vals))
         aa, bb, ref = reference_scores(xs, ys, f, a_vals, b_vals)
         best = ref.max()
         if best == -np.inf:        # every candidate dead: nothing to choose
@@ -182,8 +252,10 @@ class TestScoreGrid:
         assert abs(ref[chosen[0]] - best) <= 1e-12
 
     def test_no_primitive_call_exceeds_a_block(self, monkeypatch):
-        """A 512-sample fit evaluates its primitive on at most SCORE_BLOCK
-        candidate rows at a time, and on all 441 candidates per level."""
+        """A 512-sample fit of m edges that read the same input evaluates
+        its primitive on at most SCORE_BLOCK candidate rows at a time: on
+        the 441 level-1 candidates once for all edges, and on each edge's
+        own 441 at every later level."""
         shapes = []
         sin, adjoint = diffengine.ELEMENTWISE["sin"]
 
@@ -194,15 +266,57 @@ class TestScoreGrid:
         monkeypatch.setitem(diffengine.ELEMENTWISE, "sin",
                             (recording_sin, adjoint))
         xs = np.linspace(-1.0, 1.0, 512)
-        ys = np.sin(2.0 * xs + 0.3)
-        fit_basic(xs, ys, LIBRARY_BY_NAME["sin"])
-        assert max(rows for rows, _ in shapes) <= symbolic.SCORE_BLOCK
-        assert {cols for _, cols in shapes} == {512}
-        assert sum(rows for rows, _ in shapes) == (
-            symbolic.FIT_LEVELS * symbolic.FIT_GRID_POINTS**2)
+        for m in (1, 3):
+            shapes.clear()
+            ys = np.stack([np.sin((2.0 + k) * xs + 0.3) for k in range(m)])
+            fit_basic(xs, ys if m > 1 else ys[0], LIBRARY_BY_NAME["sin"])
+            assert max(rows for rows, _ in shapes) <= symbolic.SCORE_BLOCK
+            assert {cols for _, cols in shapes} == {512}
+            assert sum(rows for rows, _ in shapes) == (
+                (1 + (symbolic.FIT_LEVELS - 1) * m)
+                * symbolic.FIT_GRID_POINTS**2)
+
+
+ROW_KINDS = ("smooth", "noise", "constant", "nan", "pole")
+
+
+def sample_row(kind, xs, rng):
+    if kind == "smooth":
+        return rng.normal() * np.tanh(rng.normal() * xs + rng.normal())
+    if kind == "noise":
+        return rng.normal(size=xs.size)
+    if kind == "constant":
+        return np.full(xs.size, rng.normal())
+    if kind == "nan":
+        return np.full(xs.size, np.nan)
+    return 1.0 / (xs - rng.uniform(-1.0, 1.0))
 
 
 class TestSuggest:
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(8, 160), st.integers(0, 2**32 - 1),
+           st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=4),
+           st.booleans(), st.integers(0, 3))
+    @example(40, 7, ["constant", "nan", "smooth"], True, 0)
+    @example(40, 8, ["smooth", "noise"], False, 3)
+    def test_column_fit_equals_per_edge_fits(self, n, seed, kinds, zero,
+                                             tiny):
+        """Fitting a column's edges together gives, row by row, the fits of
+        the per-edge scorer, bit for bit.  The inputs span 0, so ``log``,
+        ``sqrt`` and ``1/x`` have dead candidates; ``zero`` puts an exact 0
+        among them, and ``tiny`` copies of 1e-154 make ``1/x^2`` candidate
+        rows of finite values whose sum overflows (a = 1, b = 0)."""
+        rng = np.random.default_rng(seed)
+        xs = np.concatenate([rng.uniform(-1.0, 1.0, n), [0.0] * zero,
+                             [1e-154] * tiny])
+        ys = np.stack([sample_row(k, xs, rng) for k in kinds])
+        got = suggest(xs, ys)
+        want = oracle_suggest(xs, ys)
+        assert [[fit_bits(f) for f in row] for row in got] == \
+            [[fit_bits(f) for f in row] for row in want]
+        assert [fit_bits(f) for f in suggest(xs, ys[0])] == \
+            [fit_bits(f) for f in want[0]]
+
     def test_exact_generator_ranks_first(self):
         xs = np.linspace(0.0, 1.0, 200)
         ys = np.tanh(2.0 * xs - 1.0)
@@ -456,6 +570,23 @@ class TestIterativeLoop:
             params = fix_edge(params, edge, suggest(xs, ys)[0])
         _, text = extract_formula(ck.spec, params)
         assert model.text == text
+
+    def test_column_fits_match_per_edge_fits(self, monkeypatch):
+        """Posthoc and iterative extraction on a kan2-shaped network give
+        the same formula, fits and rounds when every edge is instead
+        fitted alone by the per-edge scorer."""
+        ck, ds = self.trained_checkpoint((2, 3, 3, 1), "Q_D")
+
+        def extract():
+            runs = (posthoc_sr(ck, ds),
+                    iterative_sr(ck, ds, k=3, retrain_epochs=3))
+            # repr writes every float exactly, nan included
+            return [(m.text, repr(m.fits), repr(rounds))
+                    for m, rounds in runs]
+
+        shipped = extract()
+        monkeypatch.setattr(symbolic, "suggest", oracle_suggest)
+        assert extract() == shipped
 
     def test_retraining_rounds_are_recorded(self):
         ck, ds = self.trained_checkpoint((2, 2, 1), "Q_S")
